@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check lint staticcheck govulncheck test test-short test-race bench bench-smoke benchjson benchcheck fuzz cover repro serve obs-smoke examples fmt clean
+.PHONY: all ci build vet fmt-check lint staticcheck govulncheck test test-short test-race bench bench-smoke benchjson benchcheck fuzz cover repro repro-check serve obs-smoke examples fmt clean
 
 # `all` is `ci` plus the full (non-short) test suite; vet/gofmt run once via
 # the ci target rather than being listed twice.
@@ -104,6 +104,11 @@ cover:
 # Regenerate every table and figure at the paper's run lengths (~1 min).
 repro:
 	$(GO) run ./cmd/paperrepro
+
+# Regenerate the full-scale reproduction and diff it against the archived
+# results/paperrepro_full.txt; any moved digit fails (~40 s on 2 cores).
+repro-check:
+	$(GO) run ./cmd/paperrepro -q | diff -u results/paperrepro_full.txt -
 
 # Run the evaluation service on :8080.
 serve:
