@@ -247,7 +247,7 @@ func (s *Server) runJob(jctx context.Context, job *jobs.Job, key string,
 		Next:                simProbe{s},
 		RequestID:           job.RequestID,
 		Logger:              obs.Logger(jctx),
-		MinProgressInterval: jobProgressInterval,
+		MinProgressInterval: s.jobProgress,
 	}
 	fn := buildFn(probe)
 	val, hit, shared, err := s.do(jctx, key, fn)

@@ -152,6 +152,9 @@ type Server struct {
 
 	baseCtx   context.Context
 	closeBase context.CancelFunc
+	// jobProgress throttles each job stage's progress events
+	// (jobProgressInterval; zero streams every engine tick).
+	jobProgress time.Duration
 
 	catalog  map[string]workload.Mix
 	mixInfos []MixInfo
@@ -181,12 +184,13 @@ func New(cfg Config) *Server {
 		jobs: jobs.NewRegistry(jobs.Config{
 			MaxJobs: cfg.MaxJobs, TTL: cfg.JobTTL, EventBuffer: cfg.JobEventBuffer,
 		}),
-		memo:      newMemoLRU(cfg.MemoEntries),
-		streams:   newMemoLRU(cfg.StreamEntries),
-		flights:   make(map[string]*flight),
-		workers:   make(chan struct{}, cfg.MaxConcurrent),
-		baseCtx:   base,
-		closeBase: cancel,
+		memo:        newMemoLRU(cfg.MemoEntries),
+		streams:     newMemoLRU(cfg.StreamEntries),
+		flights:     make(map[string]*flight),
+		workers:     make(chan struct{}, cfg.MaxConcurrent),
+		baseCtx:     base,
+		closeBase:   cancel,
+		jobProgress: jobProgressInterval,
 	}
 	s.buildProm()
 	s.buildCatalog()
