@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci build vet fmt-check lint staticcheck govulncheck test test-short test-race bench bench-smoke benchjson benchcheck fuzz cover repro repro-check serve obs-smoke examples fmt clean
+.PHONY: all ci build vet fmt-check lint staticcheck govulncheck test test-short test-race perfbench-check bench bench-smoke benchjson benchcheck fuzz cover repro repro-check serve obs-smoke examples fmt clean
 
 # `all` is `ci` plus the full (non-short) test suite; vet/gofmt run once via
 # the ci target rather than being listed twice.
 all: ci test
 
 # ci mirrors .github/workflows/ci.yml locally: build, vet, gofmt check,
-# short tests, and short tests under the race detector.
-ci: build vet fmt-check test-short test-race
+# short tests, short tests under the race detector, and the perfbench
+# module (its own go.mod, compiled against this module's internals).
+ci: build vet fmt-check test-short test-race perfbench-check
 
 build:
 	$(GO) build ./...
@@ -45,6 +46,11 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
+# perfbench is a separate module (replace cacheeval => ../), so ./... from
+# the root does not reach it; vet and short-test it on its own.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # One benchmark per paper artifact plus the microbenchmarks (reduced scale).
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -60,7 +66,7 @@ bench-smoke:
 # record a baseline first). Prior records (BENCH_2..6.json) are kept as
 # history.
 BENCHKEY ?= after
-BENCHREGEX = Table|Figure|Cache|StackSim|MultiSystem|FanoutSystem|Sweep
+BENCHREGEX = Table|Figure|Cache|MultiSystem|FanoutSystem|Sweep
 benchjson:
 	$(GO) test -run '^$$' -bench '$(BENCHREGEX)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -key $(BENCHKEY) -o BENCH_7.json

@@ -52,8 +52,8 @@ func TestEvaluateFacade(t *testing.T) {
 	}
 }
 
-func TestStackSimFacade(t *testing.T) {
-	sim, err := cacheeval.NewStackSim(16)
+func TestMultiSystemFacade(t *testing.T) {
+	sim, err := cacheeval.NewMultiSystem(cacheeval.MultiConfig{Sizes: []int{1024}, LineSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStackSimFacade(t *testing.T) {
 	if _, err := sim.Run(rd, 5000); err != nil {
 		t.Fatal(err)
 	}
-	if sim.MissRatio(1024) <= 0 {
+	if sim.Results()[0].Ref.MissRatio() <= 0 {
 		t.Fatal("stack sim produced no misses")
 	}
 }

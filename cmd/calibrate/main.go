@@ -38,9 +38,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var probe obs.Probe
+	// A progress-only sink: it leaves 3C attribution off, so -v does not
+	// slow the simulations it reports on.
+	var sink *obs.Sink
 	if *verbose {
-		probe = obs.NewProgressProbe(stderr)
+		sink = &obs.Sink{Emit: obs.NewProgressPrinter(stderr).Event}
 	}
 
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
@@ -88,8 +90,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if probe != nil {
-				sys.SetProbe(probe, fmt.Sprintf("calibrate:%s@%d", spec.Name, size), int64(len(refs)))
+			if sink != nil {
+				sys.SetSink(sink, fmt.Sprintf("calibrate:%s@%d", spec.Name, size), int64(len(refs)))
 			}
 			if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
 				return err

@@ -45,13 +45,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	o := experiments.Options{RefLimit: *refs, Workers: *workers}
-	// -v wires the observability layer through the batch run: a ProgressProbe
-	// streams per-stage engine progress (refs/s, ETA) as simulations run, and
-	// a trace records one span per regenerated artifact, summarized at exit.
+	// -v wires the observability layer through the batch run: a progress
+	// printer streams per-stage engine progress (refs/s, ETA) as simulations
+	// run, and a trace records one span per regenerated artifact, summarized
+	// at exit. The sink leaves 3C attribution off: nothing here prints it.
 	var tr *obs.Trace
 	if *verbose {
 		tr = obs.NewTraceRoot()
-		o.Probe = obs.NewProgressProbe(stderr)
+		o.Probe = &obs.Sink{Emit: obs.NewProgressPrinter(stderr).Event}
 	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*experiment, ",") {

@@ -6,11 +6,13 @@ package cacheeval_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 
 	"cacheeval"
 	"cacheeval/internal/cache"
+	"cacheeval/internal/core"
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
@@ -79,25 +81,28 @@ func TestCodecPreservesSimulation(t *testing.T) {
 	}
 }
 
-// TestStackSimMatchesSystemOnCorpus: the one-pass stack algorithm and the
-// explicit simulator must agree on real corpus traces (Table 1's
-// methodology), not just random streams.
+// TestStackSimMatchesSystemOnCorpus: the one-pass stack simulation that
+// Table 1, Figure 2, the variance study and the design targets route to
+// (core.RunSweep on the Table 1 configuration) and the explicit simulator
+// must agree on real corpus traces, not just random streams.
 func TestStackSimMatchesSystemOnCorpus(t *testing.T) {
+	sizes := []int{256, 1024, 8192}
+	spec := core.SweepSpec{Sizes: sizes, LineSize: 16}
+	if e := core.SelectEngine(spec).Name; e != "multisystem" {
+		t.Fatalf("Table 1 configuration routes to %s, want the stack engine", e)
+	}
 	for _, name := range []string{"ZPR", "VTOWERS", "PPAL"} {
 		refs := corpusRefs(t, name, 20000)
-		sim, err := cache.NewStackSim(16)
+		out, err := core.RunSweep(context.Background(), spec, trace.NewSliceReader(refs), nil, name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range refs {
-			sim.Ref(r.Addr)
-		}
-		for _, size := range []int{256, 1024, 8192} {
+		for i, size := range sizes {
 			sys := runSystem(t, cache.SystemConfig{
 				Unified: cache.Config{Size: size, LineSize: 16},
 			}, refs)
-			if got, want := sys.RefStats().TotalMisses(), sim.Misses(size); got != want {
-				t.Errorf("%s @%d: system %d misses, stack sim %d", name, size, got, want)
+			if got, want := sys.RefStats(), out.Results[i].Ref; got != want {
+				t.Errorf("%s @%d: system %+v, stack sim %+v", name, size, got, want)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ import (
 //
 // FanoutSystem is not safe for concurrent use.
 type FanoutSystem struct {
-	engineProbe
+	engineSink
 	cfg       FanoutConfig
 	lineShift uint
 	unit      uint64 // line size in bytes (the fetch granularity)
@@ -279,8 +279,8 @@ func (f *FanoutSystem) Run(rd trace.Reader, max int) (int, error) {
 		}
 		f.Ref(ref)
 		n++
-		if f.probe != nil && n%obs.ProgressInterval == 0 {
-			f.probe.RunProgress(f.stage, int64(n))
+		if f.sink != nil && n%obs.ProgressInterval == 0 {
+			f.progress(n)
 		}
 	}
 	f.runEnd(n, t0)

@@ -102,7 +102,7 @@ type HierResult struct {
 // propagate L1-first so dirty L1 lines write back through the L2 before
 // the L2 itself flushes to memory. Not safe for concurrent use.
 type Hierarchy struct {
-	engineProbe
+	engineSink
 	cfg        HierarchyConfig
 	l1         *System
 	l2         *Cache
@@ -256,14 +256,15 @@ func (h *Hierarchy) GlobalMissRatio() float64 {
 	return float64(h.ev.FetchMisses) / float64(acc)
 }
 
-// report emits the batched hierarchy counters to a HierarchyProbe.
+// report emits the batched hierarchy counters after RunEnd.
 func (h *Hierarchy) report() {
-	hp, ok := h.probe.(obs.HierarchyProbe)
-	if !ok {
+	if h.sink == nil {
 		return
 	}
-	hp.HierarchyRun(h.stage, h.ev.Fetches, h.ev.FetchMisses, h.ev.Writes, h.ev.WriteMisses,
-		h.l1.Stats().VictimHits)
+	h.sink.Emit(obs.Event{Kind: obs.HierarchyRun, Stage: h.stage,
+		L2Fetches: h.ev.Fetches, L2FetchMisses: h.ev.FetchMisses,
+		L2Writes: h.ev.Writes, L2WriteMisses: h.ev.WriteMisses,
+		VictimHits: h.l1.Stats().VictimHits})
 }
 
 // Run drives the hierarchy from rd until io.EOF or max references (when
@@ -283,8 +284,8 @@ func (h *Hierarchy) Run(rd trace.Reader, max int) (int, error) {
 		}
 		h.Ref(ref)
 		n++
-		if h.probe != nil && n%obs.ProgressInterval == 0 {
-			h.probe.RunProgress(h.stage, int64(n))
+		if h.sink != nil && n%obs.ProgressInterval == 0 {
+			h.progress(n)
 		}
 	}
 	h.runEnd(n, t0)

@@ -202,8 +202,8 @@ func TestHierarchyPurgeScheduling(t *testing.T) {
 	}
 }
 
+// hierProbe records the HierarchyRun events a sink receives.
 type hierProbe struct {
-	obs.NopProbe
 	stage      string
 	fetches    uint64
 	writes     uint64
@@ -211,9 +211,13 @@ type hierProbe struct {
 	calls      int
 }
 
-func (p *hierProbe) HierarchyRun(stage string, f, fm, w, wm, vh uint64) {
-	p.stage, p.fetches, p.writes, p.victimHits = stage, f, w, vh
-	p.calls++
+func (p *hierProbe) sink() *obs.Sink {
+	return &obs.Sink{Emit: func(e obs.Event) {
+		if e.Kind == obs.HierarchyRun {
+			p.stage, p.fetches, p.writes, p.victimHits = e.Stage, e.L2Fetches, e.L2Writes, e.VictimHits
+			p.calls++
+		}
+	}}
 }
 
 type errReader struct{ err error }
@@ -232,7 +236,7 @@ func TestHierarchyRunReportsProbe(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		refs = append(refs, trace.Ref{Addr: uint64(i%17) * 16, Size: 4, Kind: trace.Read})
 	}
-	h.SetProbe(p, "hier", int64(len(refs)))
+	h.SetSink(p.sink(), "hier", int64(len(refs)))
 	if _, err := h.Run(trace.NewSliceReader(refs), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +255,7 @@ func TestHierarchyRunReportsProbe(t *testing.T) {
 	boom := errors.New("boom")
 	h2 := mustHierarchy(t, hierHC(256, 2048))
 	p2 := &hierProbe{}
-	h2.SetProbe(p2, "hier", 0)
+	h2.SetSink(p2.sink(), "hier", 0)
 	if _, err := h2.Run(errReader{boom}, 0); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want boom", err)
 	}

@@ -14,7 +14,7 @@ import (
 // unified, with task-switch purging) at every size in Sizes simultaneously,
 // in a single pass over the reference stream.
 //
-// It generalizes the classic Mattson stack algorithm (StackSim) from "miss
+// It generalizes the classic Mattson stack algorithm from "miss
 // counts at every size" to the full per-size accounting System produces:
 // per-kind reference misses, write misses, pushes, dirty pushes and purge
 // pushes. The inclusion property of fully-associative LRU makes this exact:
@@ -30,7 +30,7 @@ import (
 //
 // MultiSystem is not safe for concurrent use.
 type MultiSystem struct {
-	engineProbe
+	engineSink
 	cfg       MultiConfig
 	unified   *multiSim
 	icache    *multiSim
@@ -253,8 +253,8 @@ func (m *MultiSystem) Run(rd trace.Reader, max int) (int, error) {
 		}
 		m.Ref(ref)
 		n++
-		if m.probe != nil && n%obs.ProgressInterval == 0 {
-			m.probe.RunProgress(m.stage, int64(n))
+		if m.sink != nil && n%obs.ProgressInterval == 0 {
+			m.progress(n)
 		}
 	}
 	m.runEnd(n, t0)

@@ -1,8 +1,8 @@
 package cache_test
 
-// Probe conformance: installing an instrumentation probe — the no-op one or
-// a real recording one — must leave every engine's results bit-identical to
-// an uninstrumented run. The probe's only interaction with an engine is
+// Sink conformance: installing an engine event sink — a no-op one or a
+// real recording one — must leave every engine's results bit-identical to
+// an uninstrumented run. The sink's only interaction with an engine is
 // observing its progress; any divergence means instrumentation leaked into
 // simulation state.
 
@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -18,25 +17,37 @@ import (
 	"cacheeval/internal/trace"
 )
 
-// countingProbe records callback counts and the final reference total.
-type countingProbe struct {
+// counter records event counts and the final reference total.
+type counter struct {
 	starts, progresses, ends atomic.Int64
 	lastRefs                 atomic.Int64
 	total                    atomic.Int64
 }
 
-func (p *countingProbe) RunStart(stage string, total int64) {
-	p.starts.Add(1)
-	p.total.Store(total)
+func (p *counter) event(e obs.Event) {
+	switch e.Kind {
+	case obs.RunStart:
+		p.starts.Add(1)
+		p.total.Store(e.Refs)
+	case obs.RunProgress:
+		p.progresses.Add(1)
+	case obs.RunEnd:
+		p.ends.Add(1)
+		p.lastRefs.Store(e.Refs)
+	}
 }
-func (p *countingProbe) RunProgress(stage string, refs int64) { p.progresses.Add(1) }
-func (p *countingProbe) RunEnd(stage string, refs int64, d time.Duration) {
-	p.ends.Add(1)
-	p.lastRefs.Store(refs)
+
+// nopSink discards every event.
+var nopSink = &obs.Sink{Emit: func(obs.Event) {}}
+
+// countingSink returns a sink recording into a fresh counter.
+func countingSink() (*obs.Sink, *counter) {
+	c := &counter{}
+	return &obs.Sink{Emit: c.event}, c
 }
 
 // probeStream is long enough to cross obs.ProgressInterval so the progress
-// callback path is exercised, not just start/end.
+// event path is exercised, not just start/end.
 func probeStream(t *testing.T) []trace.Ref {
 	t.Helper()
 	n := obs.ProgressInterval + 5000
@@ -48,7 +59,7 @@ func probeStream(t *testing.T) []trace.Ref {
 
 func TestProbeLeavesSystemBitIdentical(t *testing.T) {
 	refs := probeStream(t)
-	run := func(p obs.Probe) (cache.RefStats, cache.Stats, uint64) {
+	run := func(p *obs.Sink) (cache.RefStats, cache.Stats, uint64) {
 		sys, err := cache.NewSystem(cache.SystemConfig{
 			Unified:       cache.Config{Size: 4096, LineSize: 16, Fetch: cache.PrefetchAlways},
 			PurgeInterval: 20000,
@@ -56,19 +67,18 @@ func TestProbeLeavesSystemBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p != nil {
-			sys.SetProbe(p, "test", int64(len(refs)))
-		}
+		sys.SetSink(p, "test", int64(len(refs)))
 		if _, err := sys.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
 		}
 		return sys.RefStats(), sys.Stats(), sys.RefBytes()
 	}
 	bareRef, bareStats, bareBytes := run(nil)
-	for name, p := range map[string]obs.Probe{"nop": obs.NopProbe{}, "counting": &countingProbe{}} {
+	counting, _ := countingSink()
+	for name, p := range map[string]*obs.Sink{"nop": nopSink, "counting": counting} {
 		gotRef, gotStats, gotBytes := run(p)
 		if gotRef != bareRef || gotStats != bareStats || gotBytes != bareBytes {
-			t.Errorf("%s probe changed System results:\n got %+v %+v %d\nwant %+v %+v %d",
+			t.Errorf("%s sink changed System results:\n got %+v %+v %d\nwant %+v %+v %d",
 				name, gotRef, gotStats, gotBytes, bareRef, bareStats, bareBytes)
 		}
 	}
@@ -78,73 +88,54 @@ func TestProbeLeavesSweepEnginesBitIdentical(t *testing.T) {
 	refs := probeStream(t)
 	sizes := []int{256, 1024, 8192}
 
-	runMulti := func(p obs.Probe) []cache.SizeResult {
+	runMulti := func(p *obs.Sink) []cache.SizeResult {
 		ms, err := cache.NewMultiSystem(cache.MultiConfig{
 			Sizes: sizes, LineSize: 16, Split: true, PurgeInterval: 20000,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p != nil {
-			ms.SetProbe(p, "multi", int64(len(refs)))
-		}
+		ms.SetSink(p, "multi", int64(len(refs)))
 		if _, err := ms.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
 		}
 		return ms.Results()
 	}
-	runFanout := func(p obs.Probe) []cache.SizeResult {
+	runFanout := func(p *obs.Sink) []cache.SizeResult {
 		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
 			Sizes: sizes, LineSize: 16, PurgeInterval: 15000,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p != nil {
-			fs.SetProbe(p, "fanout", int64(len(refs)))
-		}
+		fs.SetSink(p, "fanout", int64(len(refs)))
 		if _, err := fs.Run(trace.NewSliceReader(refs), 0); err != nil {
 			t.Fatal(err)
 		}
 		return fs.Results()
 	}
-	runStack := func(p obs.Probe) []float64 {
-		sim, err := cache.NewStackSim(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != nil {
-			sim.SetProbe(p, "stack", int64(len(refs)))
-		}
-		if _, err := sim.Run(trace.NewSliceReader(refs), 0); err != nil {
-			t.Fatal(err)
-		}
-		return sim.MissRatios(sizes)
-	}
-
-	for name, run := range map[string]func(obs.Probe) any{
-		"MultiSystem":  func(p obs.Probe) any { return runMulti(p) },
-		"FanoutSystem": func(p obs.Probe) any { return runFanout(p) },
-		"StackSim":     func(p obs.Probe) any { return runStack(p) },
+	for name, run := range map[string]func(*obs.Sink) any{
+		"MultiSystem":  func(p *obs.Sink) any { return runMulti(p) },
+		"FanoutSystem": func(p *obs.Sink) any { return runFanout(p) },
 	} {
 		bare := run(nil)
-		if got := run(obs.NopProbe{}); !reflect.DeepEqual(got, bare) {
-			t.Errorf("%s: NopProbe changed results", name)
+		if got := run(nopSink); !reflect.DeepEqual(got, bare) {
+			t.Errorf("%s: no-op sink changed results", name)
 		}
-		if got := run(&countingProbe{}); !reflect.DeepEqual(got, bare) {
-			t.Errorf("%s: counting probe changed results", name)
+		if counting, _ := countingSink(); !reflect.DeepEqual(run(counting), bare) {
+			t.Errorf("%s: counting sink changed results", name)
 		}
 	}
 }
 
 func TestProbeCallbacks(t *testing.T) {
 	refs := probeStream(t)
-	p := &countingProbe{}
+	sink, p := countingSink()
 	ms, err := cache.NewMultiSystem(cache.MultiConfig{Sizes: []int{1024}, LineSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms.SetProbe(p, "multi", int64(len(refs)))
+	ms.SetSink(sink, "multi", int64(len(refs)))
 	n, err := ms.Run(trace.NewSliceReader(refs), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +150,6 @@ func TestProbeCallbacks(t *testing.T) {
 		t.Errorf("RunEnd refs=%d, want %d", p.lastRefs.Load(), n)
 	}
 	if want := int64(len(refs) / obs.ProgressInterval); p.progresses.Load() != want {
-		t.Errorf("progress callbacks=%d, want %d", p.progresses.Load(), want)
+		t.Errorf("progress events=%d, want %d", p.progresses.Load(), want)
 	}
 }

@@ -84,7 +84,7 @@ func (r RefStats) DataMissRatio() float64 {
 // split/unified routing, straddling references, purge scheduling and
 // reference-level accounting.
 type System struct {
-	engineProbe
+	engineSink
 	cfg        SystemConfig
 	unified    *Cache
 	icache     *Cache
@@ -120,13 +120,13 @@ func NewSystem(sc SystemConfig) (*System, error) {
 // Config returns the system configuration.
 func (s *System) Config() SystemConfig { return s.cfg }
 
-// SetProbe installs an instrumentation probe for subsequent Run calls. If
-// the probe also implements obs.CauseProbe, 3C miss attribution is enabled
-// on the system's caches and reported in one batch when Run finishes; a
-// plain Probe leaves the attribution machinery off entirely.
-func (s *System) SetProbe(p obs.Probe, stage string, totalRefs int64) {
-	s.engineProbe.SetProbe(p, stage, totalRefs)
-	if _, ok := p.(obs.CauseProbe); ok {
+// SetSink installs an engine event sink for subsequent Run calls. If the
+// sink sets MissCauses, 3C miss attribution is enabled on the system's
+// caches and reported in one MissCauses event when Run finishes; otherwise
+// the attribution machinery stays off entirely.
+func (s *System) SetSink(sink *obs.Sink, stage string, totalRefs int64) {
+	s.engineSink.SetSink(sink, stage, totalRefs)
+	if sink != nil && sink.MissCauses {
 		for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
 			if c != nil {
 				c.EnableMissCauses()
@@ -135,44 +135,32 @@ func (s *System) SetProbe(p obs.Probe, stage string, totalRefs int64) {
 	}
 }
 
-// reportCauses emits the batched 3C attribution to a CauseProbe, summed
-// over the system's caches.
-func (s *System) reportCauses() {
-	cp, ok := s.probe.(obs.CauseProbe)
-	if !ok {
+// report emits the run's batched events after RunEnd: the 3C attribution
+// summed over the system's caches when the sink asked for it, and the
+// victim-buffer hits when the configuration has a buffer (zero L2 events:
+// this system is single-level; the Hierarchy type reports its own batch).
+func (s *System) report() {
+	if s.sink == nil {
 		return
 	}
-	var compulsory, capacity, conflict uint64
+	victim := false
+	ev := obs.Event{Kind: obs.MissCauses, Stage: s.stage}
 	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
 		if c == nil {
 			continue
 		}
 		a, b, d := c.MissCauses()
-		compulsory += a
-		capacity += b
-		conflict += d
+		ev.Compulsory += a
+		ev.Capacity += b
+		ev.Conflict += d
+		victim = victim || c.cfg.VictimLines > 0
 	}
-	cp.MissCauses(s.stage, compulsory, capacity, conflict)
-}
-
-// reportVictim emits victim-buffer hits to a HierarchyProbe when the run's
-// configuration includes a victim buffer (zero L2 events: this system is
-// single-level; the Hierarchy type reports its own batch).
-func (s *System) reportVictim() {
-	hp, ok := s.probe.(obs.HierarchyProbe)
-	if !ok {
-		return
+	if s.sink.MissCauses {
+		s.sink.Emit(ev)
 	}
-	victim := false
-	for _, c := range []*Cache{s.unified, s.icache, s.dcache} {
-		if c != nil && c.cfg.VictimLines > 0 {
-			victim = true
-		}
+	if victim {
+		s.sink.Emit(obs.Event{Kind: obs.HierarchyRun, Stage: s.stage, VictimHits: s.Stats().VictimHits})
 	}
-	if !victim {
-		return
-	}
-	hp.HierarchyRun(s.stage, 0, 0, 0, 0, s.Stats().VictimHits)
 }
 
 // cacheFor returns the cache that serves references of kind k.
@@ -297,18 +285,16 @@ func (s *System) Run(rd trace.Reader, max int) (int, error) {
 		}
 		if err != nil {
 			s.runEnd(n, t0)
-			s.reportCauses()
-			s.reportVictim()
+			s.report()
 			return n, err
 		}
 		s.Ref(ref)
 		n++
-		if s.probe != nil && n%obs.ProgressInterval == 0 {
-			s.probe.RunProgress(s.stage, int64(n))
+		if s.sink != nil && n%obs.ProgressInterval == 0 {
+			s.progress(n)
 		}
 	}
 	s.runEnd(n, t0)
-	s.reportCauses()
-	s.reportVictim()
+	s.report()
 	return n, nil
 }

@@ -111,9 +111,7 @@ func evaluateReader(ctx context.Context, design cache.SystemConfig, name string,
 	if err != nil {
 		return Report{}, err
 	}
-	if p := obs.ProbeFrom(ctx); p != nil {
-		sys.SetProbe(p, "simulate:"+name, 0)
-	}
+	sys.SetSink(obs.SinkFrom(ctx), "simulate:"+name, 0)
 	sp := obs.StartSpan(ctx, "simulate:"+name)
 	n, err := sys.Run(rd, 0)
 	sp.AddRefs(int64(n))
@@ -156,9 +154,7 @@ func EvaluateHierarchyRefsContext(ctx context.Context, hc cache.HierarchyConfig,
 	if err != nil {
 		return Report{}, err
 	}
-	if p := obs.ProbeFrom(ctx); p != nil {
-		h.SetProbe(p, "simulate:"+name, 0)
-	}
+	h.SetSink(obs.SinkFrom(ctx), "simulate:"+name, 0)
 	sp := obs.StartSpan(ctx, "simulate:"+name)
 	n, err := h.Run(rd, 0)
 	sp.AddRefs(int64(n))
@@ -236,8 +232,9 @@ func DesignTargets(sizes []int, lineSize, refLimit int) ([]DesignTarget, error) 
 	}
 	units := workload.Units()
 	perSize := make([][]float64, len(sizes))
-	for _, spec := range units {
-		rd, err := spec.Open()
+	spec := SweepSpec{Sizes: sizes, LineSize: lineSize}
+	for _, unit := range units {
+		rd, err := unit.Open()
 		if err != nil {
 			return nil, err
 		}
@@ -245,15 +242,12 @@ func DesignTargets(sizes []int, lineSize, refLimit int) ([]DesignTarget, error) 
 		if refLimit > 0 {
 			lim = trace.NewLimitReader(rd, refLimit)
 		}
-		sim, err := cache.NewStackSim(lineSize)
+		out, err := RunSweep(context.Background(), spec, lim, nil, "targets:"+unit.Name, 0)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sim.Run(lim, 0); err != nil {
-			return nil, err
-		}
-		for i, size := range sizes {
-			perSize[i] = append(perSize[i], sim.MissRatio(size))
+		for i, r := range out.Results {
+			perSize[i] = append(perSize[i], r.Ref.MissRatio())
 		}
 	}
 	out := make([]DesignTarget, len(sizes))

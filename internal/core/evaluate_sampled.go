@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/obs"
@@ -34,7 +33,7 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		size = design.I.Size + design.D.Size
 	}
 	stage := "simulate:" + name
-	probe := obs.ProbeFrom(ctx)
+	sink := obs.SinkFrom(ctx)
 	lineSize := design.Unified.LineSize
 	if design.Split {
 		lineSize = design.I.LineSize
@@ -63,15 +62,13 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 			return sp.End
 		},
 	}
-	if rp, ok := probe.(obs.SampleRoundProbe); ok {
+	if sink != nil {
 		ctrl.OnRoundDone = func(round int, a sampling.Attempt) {
-			rp.SampledRound(stage, round, a.Achieved, od.ErrorBudget, a.Fraction)
+			sink.Emit(obs.Event{Kind: obs.SampledRound, Stage: stage, Round: round,
+				Achieved: a.Achieved, Budget: od.ErrorBudget, Fraction: a.Fraction})
 		}
 	}
-	t0 := time.Now()
-	if probe != nil {
-		probe.RunStart(stage+":sampled", int64(len(refs)))
-	}
+	run := startSampledRun(sink, stage, len(refs))
 	var g *sampling.Systems
 	outc, err := ctrl.Run(len(refs), 1,
 		func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
@@ -82,6 +79,7 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		},
 	)
 	if err != nil {
+		run.end(nil)
 		return Report{}, nil, nil, fmt.Errorf("core: evaluating %s: %w", name, err)
 	}
 	info := &SampledInfo{
@@ -90,16 +88,6 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		Rounds:      len(outc.Attempts),
 		TotalRefs:   uint64(len(refs)),
 	}
-	emit := func() {
-		if probe == nil {
-			return
-		}
-		probe.RunEnd(stage+":sampled", int64(info.SimulatedRefs), time.Since(t0))
-		if sp, ok := probe.(obs.SampleProbe); ok {
-			sp.SampledRun(stage, info.ErrorBudget, info.AchievedRelError,
-				info.SampledFraction, info.Rounds, info.FellBack)
-		}
-	}
 	if outc.FellBack {
 		info.FellBack = true
 		info.FallbackReason = outc.Reason
@@ -107,9 +95,10 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
 		rep, err := EvaluateRefsContext(ctx, design, name, refs)
 		if err != nil {
+			run.end(nil)
 			return Report{}, nil, nil, err
 		}
-		emit()
+		run.end(info)
 		return rep, nil, info, nil
 	}
 	est := outc.Est.PerSize[0]
@@ -146,6 +135,6 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 	info.SimulatedRefs = outc.SimulatedRefs()
 	info.CountedRefs = outc.Est.CountedRefs
 	info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
-	emit()
+	run.end(info)
 	return rep, ci, info, nil
 }

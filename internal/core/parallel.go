@@ -110,18 +110,39 @@ func parallelInfo(engine string, res parallel.Result) *ParallelInfo {
 	return info
 }
 
-// reportParallel emits the optional ParallelProbe callbacks for a run.
-func reportParallel(probe obs.Probe, stage string, info *ParallelInfo, res *parallel.Result) {
-	pp, ok := probe.(obs.ParallelProbe)
-	if !ok {
+// reportParallel emits a run's ParallelRun event and, when segments ran,
+// one ParallelBoundary event per reconciled boundary.
+func reportParallel(sink *obs.Sink, stage string, info *ParallelInfo, res *parallel.Result) {
+	if sink == nil {
 		return
 	}
-	pp.ParallelRun(stage, info.Segments, info.Aligned, info.FellBack, info.FallbackReason)
+	sink.Emit(obs.Event{Kind: obs.ParallelRun, Stage: stage, Segments: info.Segments,
+		Aligned: info.Aligned, FellBack: info.FellBack, Reason: info.FallbackReason})
 	if res != nil {
 		for _, b := range res.Boundaries {
-			pp.ParallelBoundary(stage, int64(b.Distance), b.Converged)
+			sink.Emit(obs.Event{Kind: obs.ParallelBoundary, Stage: stage,
+				Refs: int64(b.Distance), Converged: b.Converged})
 		}
 	}
+}
+
+// runSegments runs parallel.Run bracketed by RunStart and RunEnd events
+// under stage+":parallel", with the segments' progress deltas summed into
+// RunProgress events. The end event is emitted on error too.
+func runSegments(ctx context.Context, sink *obs.Sink, stage string, refs []trace.Ref,
+	factory func() (parallel.Replica, error), opts parallel.Options) (parallel.Result, error) {
+	if sink == nil {
+		return parallel.Run(ctx, refs, factory, opts, nil)
+	}
+	pstage := stage + ":parallel"
+	t0 := time.Now()
+	sink.Emit(obs.Event{Kind: obs.RunStart, Stage: pstage, Refs: int64(len(refs))})
+	var cum atomic.Int64
+	res, err := parallel.Run(ctx, refs, factory, opts, func(d int64) {
+		sink.Emit(obs.Event{Kind: obs.RunProgress, Stage: pstage, Refs: cum.Add(d)})
+	})
+	sink.Emit(obs.Event{Kind: obs.RunEnd, Stage: pstage, Refs: cum.Load(), Elapsed: time.Since(t0)})
+	return res, err
 }
 
 // parallelTarget builds the replica factory for the fastest sound segment
@@ -217,7 +238,7 @@ var parallelEngine = SweepEngine{
 }
 
 func init() {
-	parallelEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	parallelEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 		var refs []trace.Ref
 		ok := false
 		if sl, can := rd.(trace.Slicer); can {
@@ -235,14 +256,12 @@ func init() {
 			serial := s
 			serial.Parallel = nil
 			e := SelectEngine(serial)
-			out, err := e.Run(ctx, serial, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), probe, stage, int64(len(refs)))
+			out, err := e.Run(ctx, serial, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
 			if err != nil {
 				return SweepOut{}, err
 			}
 			out.Parallel = &ParallelInfo{Engine: e.Name, FellBack: true, FallbackReason: reason}
-			if probe != nil {
-				reportParallel(probe, stage, out.Parallel, nil)
-			}
+			reportParallel(sink, stage, out.Parallel, nil)
 			return out, nil
 		}
 		if s.Repl == cache.Random {
@@ -261,30 +280,15 @@ func init() {
 			StackState:     stackState,
 			Stage:          stage,
 		}
-		pstage := stage + ":parallel"
-		t0 := time.Now()
-		if probe != nil {
-			probe.RunStart(pstage, int64(len(refs)))
-		}
-		var cum atomic.Int64
-		var progress func(int64)
-		if probe != nil {
-			progress = func(d int64) { probe.RunProgress(pstage, cum.Add(d)) }
-		}
-		res, err := parallel.Run(ctx, refs, factory, opts, progress)
+		res, err := runSegments(ctx, sink, stage, refs, factory, opts)
 		if err != nil {
 			return SweepOut{}, err
-		}
-		if probe != nil {
-			probe.RunEnd(pstage, cum.Load(), time.Since(t0))
 		}
 		if res.SerialReason != "" {
 			return delegate(res.SerialReason)
 		}
 		info := parallelInfo(engine, res)
-		if probe != nil {
-			reportParallel(probe, stage, info, &res)
-		}
+		reportParallel(sink, stage, info, &res)
 		return SweepOut{Results: res.Results, Purges: res.Purges, Parallel: info}, nil
 	}
 }
@@ -294,14 +298,14 @@ func init() {
 // holding a materialized stream (the evaluation service, cachesim
 // -parallel). Results are bit-identical to the serial path; the returned
 // ParallelInfo reports the plan, or why the run stayed serial. The 3C miss
-// attribution side channel (obs.CauseProbe) is not available on the
-// parallel path: segment replicas would misattribute each other's
-// compulsory misses, so replicas carry no probe.
+// attribution (obs.Sink.MissCauses) is not available on the parallel
+// path: segment replicas would misattribute each other's compulsory
+// misses, so replicas carry no sink.
 func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig, name string, refs []trace.Ref, po *ParallelOptions) (Report, *ParallelInfo, error) {
 	if err := po.Validate(); err != nil {
 		return Report{}, nil, err
 	}
-	probe := obs.ProbeFrom(ctx)
+	sink := obs.SinkFrom(ctx)
 	stage := "simulate:" + name
 	serial := func(reason string) (Report, *ParallelInfo, error) {
 		rep, err := EvaluateRefsContext(ctx, design, name, refs)
@@ -309,9 +313,7 @@ func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig,
 			return Report{}, nil, err
 		}
 		info := &ParallelInfo{Engine: "system", FellBack: true, FallbackReason: reason}
-		if probe != nil {
-			reportParallel(probe, stage, info, nil)
-		}
+		reportParallel(sink, stage, info, nil)
 		return rep, info, nil
 	}
 	if po == nil || po.Workers < 2 {
@@ -341,33 +343,18 @@ func EvaluateParallelRefsContext(ctx context.Context, design cache.SystemConfig,
 		CheckEvery:     po.CheckEvery,
 		Stage:          stage,
 	}
-	pstage := stage + ":parallel"
-	t0 := time.Now()
-	if probe != nil {
-		probe.RunStart(pstage, int64(len(refs)))
-	}
-	var cum atomic.Int64
-	var progress func(int64)
-	if probe != nil {
-		progress = func(d int64) { probe.RunProgress(pstage, cum.Add(d)) }
-	}
 	sp := obs.StartSpan(ctx, stage)
-	res, err := parallel.Run(ctx, refs, factory, opts, progress)
+	res, err := runSegments(ctx, sink, stage, refs, factory, opts)
 	sp.AddRefs(int64(len(refs)))
 	sp.End()
 	if err != nil {
 		return Report{}, nil, fmt.Errorf("core: evaluating %s: %w", name, err)
 	}
-	if probe != nil {
-		probe.RunEnd(pstage, cum.Load(), time.Since(t0))
-	}
 	if res.SerialReason != "" {
 		return serial(res.SerialReason)
 	}
 	info := parallelInfo("persize", res)
-	if probe != nil {
-		reportParallel(probe, stage, info, &res)
-	}
+	reportParallel(sink, stage, info, &res)
 	return assembleReport(design, name, refs, res.Results[0]), info, nil
 }
 

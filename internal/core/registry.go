@@ -152,28 +152,26 @@ type SweepOut struct {
 // SweepEngine is one registered way to execute a sweep. Supports declares
 // the capability (when the engine's results are bit-identical to per-size
 // simulation; the sampled engine instead guarantees budgeted estimates or
-// exact fallback); Run executes it. rd is already context-guarded; probe
+// exact fallback); Run executes it. rd is already context-guarded; sink
 // may be nil; total is the expected stream length when known.
 type SweepEngine struct {
 	Name     string
 	Supports func(s SweepSpec) bool
-	Run      func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error)
+	Run      func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error)
 }
 
 // multiEngine: generalized stack simulation, one pass for all sizes.
 var multiEngine = SweepEngine{
 	Name:     "multisystem",
 	Supports: func(s SweepSpec) bool { return s.StackInclusion() },
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 		ms, err := cache.NewMultiSystem(cache.MultiConfig{
 			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
 		})
 		if err != nil {
 			return SweepOut{}, err
 		}
-		if probe != nil {
-			ms.SetProbe(probe, stage, total)
-		}
+		ms.SetSink(sink, stage, total)
 		if _, err := ms.Run(rd, 0); err != nil {
 			return SweepOut{}, err
 		}
@@ -189,16 +187,14 @@ var fanoutEngine = SweepEngine{
 	Supports: func(s SweepSpec) bool {
 		return s.Fetch == cache.PrefetchAlways && s.Repl == cache.LRU && s.Victim == 0 && s.L2 == nil
 	},
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
 			Sizes: s.Sizes, LineSize: s.LineSize, Split: s.Split, PurgeInterval: s.Quantum,
 		})
 		if err != nil {
 			return SweepOut{}, err
 		}
-		if probe != nil {
-			fs.SetProbe(probe, stage, total)
-		}
+		fs.SetSink(sink, stage, total)
 		if _, err := fs.Run(rd, 0); err != nil {
 			return SweepOut{}, err
 		}
@@ -212,7 +208,7 @@ var fanoutEngine = SweepEngine{
 var perSizeEngine = SweepEngine{
 	Name:     "persize",
 	Supports: func(SweepSpec) bool { return true },
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 		refs, err := trace.Collect(rd, 0, 0)
 		if err != nil {
 			return SweepOut{}, err
@@ -224,9 +220,7 @@ var perSizeEngine = SweepEngine{
 			if err != nil {
 				return SweepOut{}, err
 			}
-			if probe != nil {
-				sys.SetProbe(probe, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			}
+			sys.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
 			if _, err := sys.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
 				return SweepOut{}, err
 			}
@@ -251,7 +245,7 @@ var perSizeEngine = SweepEngine{
 var hierarchyEngine = SweepEngine{
 	Name:     "hierarchy",
 	Supports: func(s SweepSpec) bool { return s.L2 != nil },
-	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 		refs, err := trace.Collect(rd, 0, 0)
 		if err != nil {
 			return SweepOut{}, err
@@ -263,9 +257,7 @@ var hierarchyEngine = SweepEngine{
 			if err != nil {
 				return SweepOut{}, err
 			}
-			if probe != nil {
-				h.SetProbe(probe, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			}
+			h.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
 			if _, err := h.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
 				return SweepOut{}, err
 			}
@@ -311,15 +303,15 @@ func SelectEngine(s SweepSpec) SweepEngine {
 }
 
 // RunSweep validates the spec, selects the fastest sound engine and
-// executes the sweep over rd. probe may be nil; stage labels the run in
-// probe callbacks (the per-size fallback appends ":<size>"); total is the
+// executes the sweep over rd. sink may be nil; stage labels the run in
+// its events (the per-size fallback appends ":<size>"); total is the
 // expected stream length when known, 0 otherwise. It returns the per-size
 // results (in Sizes order), the purge count, and sampling metadata when
 // the sampled engine ran.
-func RunSweep(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+func RunSweep(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 	if err := s.Validate(); err != nil {
 		return SweepOut{}, err
 	}
 	e := SelectEngine(s)
-	return e.Run(ctx, s, trace.NewContextReader(ctx, rd), probe, stage, total)
+	return e.Run(ctx, s, trace.NewContextReader(ctx, rd), sink, stage, total)
 }

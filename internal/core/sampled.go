@@ -227,7 +227,7 @@ var sampledEngine = SweepEngine{
 }
 
 func init() {
-	sampledEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, probe obs.Probe, stage string, total int64) (SweepOut, error) {
+	sampledEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
 		// The engine rewinds the trace once per adaptive round, so it needs
 		// the stream in memory; borrow the backing slice when the reader can
 		// share it (the sweep layer always materializes first), collect
@@ -265,20 +265,19 @@ func init() {
 				return func() { sp.AddRefs(int64(p.Window) * int64(p.Windows(len(refs)))); sp.End() }
 			},
 		}
-		if rp, ok := probe.(obs.SampleRoundProbe); ok {
+		if sink != nil {
 			ctrl.OnRoundDone = func(round int, a sampling.Attempt) {
-				rp.SampledRound(stage, round, a.Achieved, o.ErrorBudget, a.Fraction)
+				sink.Emit(obs.Event{Kind: obs.SampledRound, Stage: stage, Round: round,
+					Achieved: a.Achieved, Budget: o.ErrorBudget, Fraction: a.Fraction})
 			}
 		}
-		t0 := time.Now()
-		if probe != nil {
-			probe.RunStart(stage+":sampled", int64(len(refs)))
-		}
+		run := startSampledRun(sink, stage, len(refs))
 		outc, err := ctrl.Run(len(refs), len(s.Sizes),
 			func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
 			func() (sampling.Target, error) { return sampledTarget(s) },
 		)
 		if err != nil {
+			run.end(nil)
 			return SweepOut{}, err
 		}
 		info := &SampledInfo{
@@ -295,10 +294,11 @@ func init() {
 			exact.Sampled = nil
 			e := SelectEngine(exact)
 			sp := obs.StartSpan(ctx, stage+":sampled:fallback:"+e.Name)
-			out, err = e.Run(ctx, exact, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), probe, stage, int64(len(refs)))
+			out, err = e.Run(ctx, exact, trace.NewContextReader(ctx, trace.NewSliceReader(refs)), sink, stage, int64(len(refs)))
 			sp.AddRefs(int64(len(refs)))
 			sp.End()
 			if err != nil {
+				run.end(nil)
 				return SweepOut{}, err
 			}
 			info.FellBack = true
@@ -340,14 +340,42 @@ func init() {
 			info.SampledFraction = fracOf(info.SimulatedRefs, info.TotalRefs)
 		}
 		out.Sampled = info
-		if probe != nil {
-			probe.RunEnd(stage+":sampled", int64(info.SimulatedRefs), time.Since(t0))
-			if sp, ok := probe.(obs.SampleProbe); ok {
-				sp.SampledRun(stage, info.ErrorBudget, info.AchievedRelError,
-					info.SampledFraction, info.Rounds, info.FellBack)
-			}
-		}
+		run.end(info)
 		return out, nil
+	}
+}
+
+// sampledRun brackets a sampled pass with its RunStart and RunEnd events
+// under stage+":sampled"; a nil sink makes both no-ops.
+type sampledRun struct {
+	sink  *obs.Sink
+	stage string
+	t0    time.Time
+}
+
+func startSampledRun(sink *obs.Sink, stage string, total int) sampledRun {
+	if sink != nil {
+		sink.Emit(obs.Event{Kind: obs.RunStart, Stage: stage + ":sampled", Refs: int64(total)})
+	}
+	return sampledRun{sink, stage, time.Now()}
+}
+
+// end emits the pass's RunEnd and, for a pass that completed (info
+// non-nil), its SampledRun verdict. Every return after the start calls it,
+// errors included, so a consumer never sees a run left open.
+func (r sampledRun) end(info *SampledInfo) {
+	if r.sink == nil {
+		return
+	}
+	var refs uint64
+	if info != nil {
+		refs = info.SimulatedRefs
+	}
+	r.sink.Emit(obs.Event{Kind: obs.RunEnd, Stage: r.stage + ":sampled", Refs: int64(refs), Elapsed: time.Since(r.t0)})
+	if info != nil {
+		r.sink.Emit(obs.Event{Kind: obs.SampledRun, Stage: r.stage, Budget: info.ErrorBudget,
+			Achieved: info.AchievedRelError, Fraction: info.SampledFraction,
+			Round: info.Rounds, FellBack: info.FellBack})
 	}
 }
 

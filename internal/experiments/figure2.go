@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cacheeval/internal/cache"
 	"cacheeval/internal/model"
 	"cacheeval/internal/textplot"
 	"cacheeval/internal/workload"
@@ -47,14 +46,11 @@ func Figure2(o Options) (*Figure2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := cache.NewStackSim(o.LineSize)
+		miss, _, err := o.missCurve(rd, o.Sizes, "figure2:"+name, o.limit(spec.Refs))
 		if err != nil {
-			return nil, err
-		}
-		if _, err := sim.Run(rd, 0); err != nil {
 			return nil, fmt.Errorf("figure2 %s: %w", name, err)
 		}
-		res.MVS[name] = sim.MissRatios(o.Sizes)
+		res.MVS[name] = miss
 	}
 	return res, nil
 }

@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"text/tabwriter"
 
-	"cacheeval/internal/cache"
+	"cacheeval/internal/core"
 	"cacheeval/internal/stats"
 	"cacheeval/internal/textplot"
+	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
 
@@ -33,9 +35,10 @@ type Table1Result struct {
 	GroupAvg map[string][]float64
 }
 
-// Table1 simulates all 57 trace units of the corpus with the one-pass LRU
-// stack algorithm, which yields every cache size simultaneously (the
-// configuration is exactly the inclusion-property case).
+// Table1 simulates all 57 trace units of the corpus in one multi-size pass
+// each: the configuration is exactly the stack-inclusion case, so the
+// engine registry runs the one-pass stack simulation, which yields every
+// cache size simultaneously.
 func Table1(o Options) (*Table1Result, error) {
 	o = o.withDefaults()
 	units := workload.Units()
@@ -46,14 +49,7 @@ func Table1(o Options) (*Table1Result, error) {
 		if err != nil {
 			return err
 		}
-		sim, err := cache.NewStackSim(o.LineSize)
-		if err != nil {
-			return err
-		}
-		if o.Probe != nil {
-			sim.SetProbe(o.Probe, "table1:"+spec.Name, int64(o.limit(spec.Refs)))
-		}
-		n, err := sim.Run(rd, 0)
+		miss, n, err := o.missCurve(rd, o.Sizes, "table1:"+spec.Name, o.limit(spec.Refs))
 		if err != nil {
 			return fmt.Errorf("table1 %s: %w", spec.Name, err)
 		}
@@ -61,7 +57,7 @@ func Table1(o Options) (*Table1Result, error) {
 			Trace: spec.Name,
 			Group: workload.Group(spec),
 			Refs:  n,
-			Miss:  sim.MissRatios(o.Sizes),
+			Miss:  miss,
 		}
 		return nil
 	})
@@ -70,6 +66,24 @@ func Table1(o Options) (*Table1Result, error) {
 	}
 	res.aggregate()
 	return res, nil
+}
+
+// missCurve runs the Table 1 configuration — unified, fully associative,
+// LRU, demand fetch, no purges — over rd at every size in one multi-size
+// pass, and returns the overall miss ratio at each size plus the number of
+// references processed. total is the expected stream length, for progress
+// events.
+func (o Options) missCurve(rd trace.Reader, sizes []int, stage string, total int) ([]float64, int, error) {
+	spec := core.SweepSpec{Sizes: sizes, LineSize: o.LineSize}
+	out, err := core.RunSweep(context.Background(), spec, rd, o.Probe, stage, int64(total))
+	if err != nil {
+		return nil, 0, err
+	}
+	miss := make([]float64, len(out.Results))
+	for i, r := range out.Results {
+		miss[i] = r.Ref.MissRatio()
+	}
+	return miss, int(out.Results[0].Ref.TotalRefs()), nil
 }
 
 func (r *Table1Result) aggregate() {

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"cacheeval/internal/cache"
 	"cacheeval/internal/stats"
+	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
 
@@ -57,14 +57,12 @@ func Variance(o Options) (*VarianceResult, error) {
 			if err != nil {
 				return err
 			}
-			sim, err := cache.NewStackSim(o.LineSize)
+			miss, _, err := o.missCurve(trace.NewSliceReader(refs), []int{cacheSize},
+				fmt.Sprintf("variance:%s:seed%d", spec.Name, s), len(refs))
 			if err != nil {
 				return err
 			}
-			for _, r := range refs {
-				sim.Ref(r.Addr)
-			}
-			misses = append(misses, sim.MissRatio(cacheSize))
+			misses = append(misses, miss[0])
 		}
 		mean := stats.Mean(misses)
 		sd := stats.StdDev(misses)

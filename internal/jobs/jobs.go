@@ -65,7 +65,7 @@ type Event struct {
 
 // Event types owned by the job lifecycle itself. Engine-originated types
 // (run_start, progress, cell, sampled_round, ...) are chosen by the
-// publisher; see obs.EventProbe and the server's jobs handler.
+// publisher; see obs.EventStream and the server's jobs handler.
 const (
 	EventAccepted = "accepted"
 	EventStarted  = "started"

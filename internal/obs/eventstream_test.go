@@ -28,29 +28,41 @@ func (r *recorder) on(typ string, data any) {
 	r.byType[typ] = append(r.byType[typ], data)
 }
 
-// countingProbe records raw callbacks forwarded via Next.
+// countingProbe counts the raw events a second consumer sharing the sink
+// receives, for the lifecycle and the two kinds it cares about.
 type countingProbe struct {
 	starts, progresses, ends, causes, rounds int
 }
 
-func (c *countingProbe) RunStart(string, int64)              { c.starts++ }
-func (c *countingProbe) RunProgress(string, int64)           { c.progresses++ }
-func (c *countingProbe) RunEnd(string, int64, time.Duration) { c.ends++ }
-func (c *countingProbe) MissCauses(string, uint64, uint64, uint64) {
-	c.causes++
+func (c *countingProbe) event(e Event) {
+	switch e.Kind {
+	case RunStart:
+		c.starts++
+	case RunProgress:
+		c.progresses++
+	case RunEnd:
+		c.ends++
+	case MissCauses:
+		c.causes++
+	case SampledRound:
+		c.rounds++
+	}
 }
-func (c *countingProbe) SampledRound(string, int, float64, float64, float64) {
-	c.rounds++
+
+// fanout is the sink the server builds for a job: every event reaches the
+// stream and then a second consumer.
+func fanout(p *EventStream, next *countingProbe) *Sink {
+	return &Sink{Emit: func(e Event) { p.Event(e); next.event(e) }}
 }
 
 func TestEventProbeLifecycle(t *testing.T) {
 	rec := newRecorder()
 	next := &countingProbe{}
-	p := &EventProbe{OnEvent: rec.on, Next: next}
+	sink := fanout(&EventStream{OnEvent: rec.on}, next)
 
-	p.RunStart("simulate:x", 1000)
-	p.RunProgress("simulate:x", 500)
-	p.RunEnd("simulate:x", 1000, 2*time.Second)
+	sink.Emit(Event{Kind: RunStart, Stage: "simulate:x", Refs: 1000})
+	sink.Emit(Event{Kind: RunProgress, Stage: "simulate:x", Refs: 500})
+	sink.Emit(Event{Kind: RunEnd, Stage: "simulate:x", Refs: 1000, Elapsed: 2 * time.Second})
 
 	if got := rec.types; len(got) != 3 ||
 		got[0] != EventRunStart || got[1] != EventProgress || got[2] != EventRunEnd {
@@ -69,49 +81,50 @@ func TestEventProbeLifecycle(t *testing.T) {
 		t.Fatalf("run_end payload = %+v", end)
 	}
 	if next.starts != 1 || next.progresses != 1 || next.ends != 1 {
-		t.Fatalf("next probe saw %d/%d/%d callbacks, want 1/1/1",
+		t.Fatalf("next consumer saw %d/%d/%d events, want 1/1/1",
 			next.starts, next.progresses, next.ends)
 	}
 }
 
 func TestEventProbeProgressThrottle(t *testing.T) {
 	rec := newRecorder()
-	p := &EventProbe{OnEvent: rec.on, MinProgressInterval: time.Hour}
-	p.RunStart("s", 0)
+	p := &EventStream{OnEvent: rec.on, MinProgressInterval: time.Hour}
+	p.Event(Event{Kind: RunStart, Stage: "s"})
 	for i := 0; i < 100; i++ {
-		p.RunProgress("s", int64(i))
+		p.Event(Event{Kind: RunProgress, Stage: "s", Refs: int64(i)})
 	}
 	// lastEmit is primed at RunStart, so an hour-long throttle emits nothing.
 	if n := len(rec.byType[EventProgress]); n != 0 {
-		t.Fatalf("throttled probe emitted %d progress events, want 0", n)
+		t.Fatalf("throttled stream emitted %d progress events, want 0", n)
 	}
 	// Zero interval emits every callback.
 	rec2 := newRecorder()
-	p2 := &EventProbe{OnEvent: rec2.on}
-	p2.RunStart("s", 0)
+	p2 := &EventStream{OnEvent: rec2.on}
+	p2.Event(Event{Kind: RunStart, Stage: "s"})
 	for i := 0; i < 5; i++ {
-		p2.RunProgress("s", int64(i))
+		p2.Event(Event{Kind: RunProgress, Stage: "s", Refs: int64(i)})
 	}
 	if n := len(rec2.byType[EventProgress]); n != 5 {
-		t.Fatalf("unthrottled probe emitted %d progress events, want 5", n)
+		t.Fatalf("unthrottled stream emitted %d progress events, want 5", n)
 	}
 	// An unknown stage (RunProgress without RunStart) emits nothing rather
 	// than panicking.
-	p2.RunProgress("never-started", 1)
+	p2.Event(Event{Kind: RunProgress, Stage: "never-started", Refs: 1})
 }
 
 func TestEventProbeExtensions(t *testing.T) {
 	rec := newRecorder()
 	next := &countingProbe{}
-	p := &EventProbe{OnEvent: rec.on, Next: next}
+	sink := fanout(&EventStream{OnEvent: rec.on}, next)
 
-	p.MissCauses("s", 1, 2, 3)
-	p.SampledRound("s", 2, 0.04, 0.05, 0.3)
-	p.SampledRound("s", 0, math.Inf(1), 0.05, 0.1)
-	p.SampledRun("s", 0.05, 0.04, 0.3, 3, false)
-	p.ParallelRun("s", 4, true, false, "")
-	p.ParallelBoundary("s", 128, true)
-	p.HierarchyRun("s", 10, 2, 5, 1, 7)
+	sink.Emit(Event{Kind: MissCauses, Stage: "s", Compulsory: 1, Capacity: 2, Conflict: 3})
+	sink.Emit(Event{Kind: SampledRound, Stage: "s", Round: 2, Achieved: 0.04, Budget: 0.05, Fraction: 0.3})
+	sink.Emit(Event{Kind: SampledRound, Stage: "s", Achieved: math.Inf(1), Budget: 0.05, Fraction: 0.1})
+	sink.Emit(Event{Kind: SampledRun, Stage: "s", Budget: 0.05, Achieved: 0.04, Fraction: 0.3, Round: 3})
+	sink.Emit(Event{Kind: ParallelRun, Stage: "s", Segments: 4, Aligned: true})
+	sink.Emit(Event{Kind: ParallelBoundary, Stage: "s", Refs: 128, Converged: true})
+	sink.Emit(Event{Kind: HierarchyRun, Stage: "s", L2Fetches: 10, L2FetchMisses: 2,
+		L2Writes: 5, L2WriteMisses: 1, VictimHits: 7})
 
 	mc := rec.byType[EventMissCauses][0].(MissCausesEvent)
 	if mc.Compulsory != 1 || mc.Capacity != 2 || mc.Conflict != 3 {
@@ -130,8 +143,8 @@ func TestEventProbeExtensions(t *testing.T) {
 		len(rec.byType[EventParallelBoundary]) != 1 || len(rec.byType[EventHierarchyRun]) != 1 {
 		t.Fatalf("extension events missing: %v", rec.types)
 	}
-	// Next implements CauseProbe and SampleRoundProbe but not the others;
-	// only the matching callbacks forward.
+	// The second consumer sees the raw events, +Inf included, and counts
+	// the kinds it cares about.
 	if next.causes != 1 || next.rounds != 2 {
 		t.Fatalf("next saw %d causes and %d rounds, want 1 and 2", next.causes, next.rounds)
 	}
@@ -140,9 +153,9 @@ func TestEventProbeExtensions(t *testing.T) {
 func TestEventProbeLogsCarryRequestID(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	p := &EventProbe{RequestID: "req-abc123", Logger: logger}
-	p.RunStart("simulate:y", 10)
-	p.RunEnd("simulate:y", 10, time.Millisecond)
+	p := &EventStream{RequestID: "req-abc123", Logger: logger}
+	p.Event(Event{Kind: RunStart, Stage: "simulate:y", Refs: 10})
+	p.Event(Event{Kind: RunEnd, Stage: "simulate:y", Refs: 10, Elapsed: time.Millisecond})
 	out := buf.String()
 	if strings.Count(out, `"request_id":"req-abc123"`) != 2 {
 		t.Fatalf("log lines missing request_id:\n%s", out)
@@ -154,29 +167,29 @@ func TestEventProbeLogsCarryRequestID(t *testing.T) {
 
 func TestEventProbeNilOnEvent(t *testing.T) {
 	next := &countingProbe{}
-	p := &EventProbe{Next: next} // no OnEvent: raw callbacks still forward
-	p.RunStart("s", 1)
-	p.RunProgress("s", 1)
-	p.RunEnd("s", 1, time.Millisecond)
+	sink := fanout(&EventStream{}, next) // no OnEvent: the other consumer still sees everything
+	sink.Emit(Event{Kind: RunStart, Stage: "s", Refs: 1})
+	sink.Emit(Event{Kind: RunProgress, Stage: "s", Refs: 1})
+	sink.Emit(Event{Kind: RunEnd, Stage: "s", Refs: 1, Elapsed: time.Millisecond})
 	if next.starts != 1 || next.progresses != 1 || next.ends != 1 {
-		t.Fatalf("nil OnEvent dropped Next callbacks: %+v", next)
+		t.Fatalf("nil OnEvent dropped the other consumer's events: %+v", next)
 	}
 }
 
 func TestEventProbeConcurrentStages(t *testing.T) {
 	rec := newRecorder()
-	p := &EventProbe{OnEvent: rec.on}
+	p := &EventStream{OnEvent: rec.on}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			stage := "simulate:" + string(rune('a'+g))
-			p.RunStart(stage, 100)
+			p.Event(Event{Kind: RunStart, Stage: stage, Refs: 100})
 			for i := 0; i < 50; i++ {
-				p.RunProgress(stage, int64(i))
+				p.Event(Event{Kind: RunProgress, Stage: stage, Refs: int64(i)})
 			}
-			p.RunEnd(stage, 100, time.Millisecond)
+			p.Event(Event{Kind: RunEnd, Stage: stage, Refs: 100, Elapsed: time.Millisecond})
 		}(g)
 	}
 	wg.Wait()

@@ -1,13 +1,13 @@
 // Package obs is the evaluation stack's observability layer: structured
 // logging (log/slog) with request-scoped loggers and request IDs carried by
 // context, lightweight per-stage span tracing, a minimal Prometheus
-// text-format metrics registry, and the Probe interface through which the
-// simulation engines report progress without paying for it when nobody is
-// listening.
+// text-format metrics registry, and the engine Event and Sink through which
+// the simulation engines report progress without paying for it when nobody
+// is listening.
 //
 // The package depends only on the standard library, and nothing in it is
 // mandatory: every context accessor returns a usable zero-cost default (a
-// discarding logger, a nil trace whose spans are no-ops, a nil probe), so
+// discarding logger, a nil trace whose spans are no-ops, a nil sink), so
 // the engine and experiment layers can call into obs unconditionally while
 // batch callers that never install anything observe no behaviour change.
 // See DESIGN.md §8.
@@ -27,7 +27,7 @@ const (
 	loggerKey ctxKey = iota
 	requestIDKey
 	traceKey
-	probeKey
+	sinkKey
 )
 
 // discardLogger drops every record. Implemented here rather than with

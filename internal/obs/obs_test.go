@@ -112,11 +112,11 @@ func TestTraceConcurrentSpans(t *testing.T) {
 
 func TestProgressProbe(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProgressProbe(&buf)
-	p.MinInterval = 0 // print every callback
-	p.RunStart("stage", 200000)
-	p.RunProgress("stage", 100000)
-	p.RunEnd("stage", 200000, 50*time.Millisecond)
+	p := NewProgressPrinter(&buf)
+	p.MinInterval = 0 // print every event
+	p.Event(Event{Kind: RunStart, Stage: "stage", Refs: 200000})
+	p.Event(Event{Kind: RunProgress, Stage: "stage", Refs: 100000})
+	p.Event(Event{Kind: RunEnd, Stage: "stage", Refs: 200000, Elapsed: 50 * time.Millisecond})
 	out := buf.String()
 	if !strings.Contains(out, "ETA") {
 		t.Errorf("progress line missing ETA: %q", out)
@@ -125,20 +125,24 @@ func TestProgressProbe(t *testing.T) {
 		t.Errorf("completion line malformed: %q", out)
 	}
 	// Unknown stage progress and zero-duration end must not panic.
-	p.RunProgress("never-started", 1)
-	p.RunEnd("never-started", 1, 0)
+	p.Event(Event{Kind: RunProgress, Stage: "never-started", Refs: 1})
+	p.Event(Event{Kind: RunEnd, Stage: "never-started", Refs: 1})
 }
 
 func TestProbeContext(t *testing.T) {
-	if ProbeFrom(context.Background()) != nil {
-		t.Fatal("probe on bare context")
+	if SinkFrom(context.Background()) != nil {
+		t.Fatal("sink on bare context")
 	}
-	ctx := WithProbe(context.Background(), NopProbe{})
-	p := ProbeFrom(ctx)
-	if p == nil {
-		t.Fatal("probe lost")
+	var got []Kind
+	ctx := WithSink(context.Background(), &Sink{Emit: func(e Event) { got = append(got, e.Kind) }})
+	s := SinkFrom(ctx)
+	if s == nil {
+		t.Fatal("sink lost")
 	}
-	p.RunStart("s", 0)
-	p.RunProgress("s", 1)
-	p.RunEnd("s", 1, time.Second)
+	s.Emit(Event{Kind: RunStart, Stage: "s"})
+	s.Emit(Event{Kind: RunProgress, Stage: "s", Refs: 1})
+	s.Emit(Event{Kind: RunEnd, Stage: "s", Refs: 1, Elapsed: time.Second})
+	if len(got) != 3 || got[0] != RunStart || got[2] != RunEnd {
+		t.Fatalf("sink from context saw %v", got)
+	}
 }

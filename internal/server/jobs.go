@@ -130,11 +130,11 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		run = func(jctx context.Context, job *jobs.Job) {
-			s.runJob(jctx, job, key, func(probe obs.Probe) func(context.Context) (any, error) {
+			s.runJob(jctx, job, key, func(sink *obs.Sink) func(context.Context) (any, error) {
 				body := s.evalFlight(req.Evaluate, design, mix, l2cfg)
 				return func(fctx context.Context) (any, error) {
 					job.Start(jobStartedData{})
-					return body(s.jobFlightCtx(fctx, jctx, probe))
+					return body(s.jobFlightCtx(fctx, jctx, sink))
 				}
 			}, func(val any) any {
 				memo := val.(evalMemo)
@@ -156,9 +156,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		opts := s.sweepOptions(req.Sweep, repl)
 		run = func(jctx context.Context, job *jobs.Job) {
-			s.runJob(jctx, job, key, func(probe obs.Probe) func(context.Context) (any, error) {
+			s.runJob(jctx, job, key, func(sink *obs.Sink) func(context.Context) (any, error) {
 				o := opts
-				o.Probe = probe
+				o.Probe = sink
 				o.OnPass = func(p experiments.PassResult) {
 					for si, out := range p.Results {
 						job.Publish("cell", JobCellOut{
@@ -170,7 +170,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 				body := s.sweepFlight(req.Sweep, mixes, o)
 				return func(fctx context.Context) (any, error) {
 					job.Start(jobStartedData{})
-					return body(s.jobFlightCtx(fctx, jctx, probe))
+					return body(s.jobFlightCtx(fctx, jctx, sink))
 				}
 			}, func(val any) any {
 				return val.(sweepMemo).Payload
@@ -225,31 +225,34 @@ func (s *Server) jobCtx(timeoutMS int) (context.Context, context.CancelFunc) {
 }
 
 // jobFlightCtx is flightCtx for async jobs: the flight inherits the job's
-// observability identity and the job's event-publishing probe instead of
-// the server's bare metrics probe.
-func (s *Server) jobFlightCtx(fctx, jctx context.Context, probe obs.Probe) context.Context {
+// observability identity and the job's event-publishing sink instead of
+// the server's bare metrics sink.
+func (s *Server) jobFlightCtx(fctx, jctx context.Context, sink *obs.Sink) context.Context {
 	fctx = obs.WithRequestID(fctx, obs.RequestID(jctx))
 	fctx = obs.WithLogger(fctx, obs.Logger(jctx))
-	return obs.WithProbe(fctx, probe)
+	return obs.WithSink(fctx, sink)
 }
 
 // runJob executes one job to its terminal state: it builds the
-// event-publishing probe, runs the flight through the same singleflight/
+// event-publishing sink, runs the flight through the same singleflight/
 // memo machinery as the synchronous handlers, and publishes the terminal
 // summary (the memoized payload a synchronous call would return) before
-// marking the job done. buildFn receives the probe and returns the flight
+// marking the job done. buildFn receives the sink and returns the flight
 // function; summarize converts the memoized value to the summary payload.
 func (s *Server) runJob(jctx context.Context, job *jobs.Job, key string,
-	buildFn func(probe obs.Probe) func(context.Context) (any, error),
+	buildFn func(sink *obs.Sink) func(context.Context) (any, error),
 	summarize func(val any) any) {
-	probe := &obs.EventProbe{
+	stream := &obs.EventStream{
 		OnEvent:             func(typ string, data any) { job.Publish(typ, data) },
-		Next:                simProbe{s},
 		RequestID:           job.RequestID,
 		Logger:              obs.Logger(jctx),
 		MinProgressInterval: s.jobProgress,
 	}
-	fn := buildFn(probe)
+	// Streaming a run never costs its metrics: every event reaches both.
+	fn := buildFn(&obs.Sink{
+		Emit:       func(e obs.Event) { stream.Event(e); s.observe(e) },
+		MissCauses: true,
+	})
 	val, hit, shared, err := s.do(jctx, key, fn)
 	if err != nil {
 		job.Finish(err)

@@ -1,10 +1,6 @@
 package server
 
-import (
-	"time"
-
-	"cacheeval/internal/obs"
-)
+import "cacheeval/internal/obs"
 
 // Prometheus exposition: every expvar-backed counter is re-exported as a
 // scrape-time counter func (one source of truth, no double accounting), the
@@ -173,84 +169,59 @@ func (s *Server) buildProm() {
 	obs.RegisterGoRuntime(reg, "cacheeval")
 }
 
-// simProbe adapts engine run completions into the engine throughput metrics.
-// One instance serves every concurrent simulation; stage identity travels in
-// the callback arguments, so no per-run state is needed.
-type simProbe struct{ s *Server }
-
-func (p simProbe) RunStart(string, int64)    {}
-func (p simProbe) RunProgress(string, int64) {}
-
-func (p simProbe) RunEnd(stage string, refs int64, elapsed time.Duration) {
-	p.s.engineRefs.Add(refs)
-	if refs > 0 && elapsed > 0 {
-		p.s.refsRateHist.Observe(float64(refs) / elapsed.Seconds())
+// observe feeds one engine event into the engine metric families. It is
+// the Emit of every sink the server installs (s.sink on flights, and each
+// job's sink after its event stream); stage identity travels in the event,
+// so one server-wide consumer serves every concurrent simulation.
+func (s *Server) observe(e obs.Event) {
+	switch e.Kind {
+	case obs.RunEnd:
+		s.engineRefs.Add(e.Refs)
+		if e.Refs > 0 && e.Elapsed > 0 {
+			s.refsRateHist.Observe(float64(e.Refs) / e.Elapsed.Seconds())
+		}
+	case obs.MissCauses:
+		s.causeCompulsory.Add(int64(e.Compulsory))
+		s.causeCapacity.Add(int64(e.Capacity))
+		s.causeConflict.Add(int64(e.Conflict))
+	case obs.SampledRun:
+		// Achieved versus requested error says whether the error-budget
+		// knob is honest in production.
+		s.sampledRuns.Add(1)
+		s.sampledRounds.Add(int64(e.Round))
+		s.sampledFraction.Observe(e.Fraction)
+		if e.FellBack {
+			s.sampledFallback.Add(1)
+			return
+		}
+		s.sampledRelErr.Observe(e.Achieved)
+		if e.Budget > 0 {
+			s.sampledVsBudget.Observe(e.Achieved / e.Budget)
+		}
+	case obs.ParallelRun:
+		s.parallelRuns.Add(1)
+		if e.FellBack {
+			s.parallelFallback.Add(1)
+			return
+		}
+		s.parallelSegments.Add(int64(e.Segments))
+		if e.Aligned {
+			s.parallelAligned.Add(1)
+		}
+	case obs.ParallelBoundary:
+		// The convergence distance says how much re-simulation the
+		// speculative segmentation really costs.
+		s.parallelBoundaries.Add(1)
+		if e.Converged {
+			s.parallelConverged.Add(1)
+		}
+		s.parallelDistance.Observe(float64(e.Refs))
+	case obs.HierarchyRun:
+		// Victim-only runs report zero L2 events.
+		s.hierL2Fetches.Add(int64(e.L2Fetches))
+		s.hierL2FetchMisses.Add(int64(e.L2FetchMisses))
+		s.hierL2Writes.Add(int64(e.L2Writes))
+		s.hierL2WriteMisses.Add(int64(e.L2WriteMisses))
+		s.hierVictimHits.Add(int64(e.VictimHits))
 	}
 }
-
-// MissCauses makes simProbe an obs.CauseProbe: its presence switches the
-// per-size engine onto the 3C attribution path, whose totals land here at
-// the end of each run.
-func (p simProbe) MissCauses(stage string, compulsory, capacity, conflict uint64) {
-	p.s.causeCompulsory.Add(int64(compulsory))
-	p.s.causeCapacity.Add(int64(capacity))
-	p.s.causeConflict.Add(int64(conflict))
-}
-
-// SampledRun makes simProbe an obs.SampleProbe: the sampled engine reports
-// every completed run here, feeding the cacheeval_sampled_* families —
-// most importantly achieved-versus-requested error, the metric that says
-// whether the error-budget knob is honest in production.
-func (p simProbe) SampledRun(stage string, errorBudget, achieved, fraction float64, rounds int, fellBack bool) {
-	p.s.sampledRuns.Add(1)
-	p.s.sampledRounds.Add(int64(rounds))
-	p.s.sampledFraction.Observe(fraction)
-	if fellBack {
-		p.s.sampledFallback.Add(1)
-		return
-	}
-	p.s.sampledRelErr.Observe(achieved)
-	if errorBudget > 0 {
-		p.s.sampledVsBudget.Observe(achieved / errorBudget)
-	}
-}
-
-// ParallelRun and ParallelBoundary make simProbe an obs.ParallelProbe: the
-// time-parallel engine reports each run's plan and each boundary's
-// reconciliation cost here, feeding the cacheeval_parallel_* families —
-// most importantly the convergence-distance histogram, the metric that says
-// how much re-simulation the speculative segmentation is really costing.
-func (p simProbe) ParallelRun(stage string, segments int, aligned, fellBack bool, reason string) {
-	p.s.parallelRuns.Add(1)
-	if fellBack {
-		p.s.parallelFallback.Add(1)
-		return
-	}
-	p.s.parallelSegments.Add(int64(segments))
-	if aligned {
-		p.s.parallelAligned.Add(1)
-	}
-}
-
-func (p simProbe) ParallelBoundary(stage string, distanceRefs int64, converged bool) {
-	p.s.parallelBoundaries.Add(1)
-	if converged {
-		p.s.parallelConverged.Add(1)
-	}
-	p.s.parallelDistance.Observe(float64(distanceRefs))
-}
-
-// HierarchyRun makes simProbe an obs.HierarchyProbe: two-level and victim
-// runs report their completion totals here, feeding the
-// cacheeval_hierarchy_* families. Victim-only runs report zero L2 events.
-func (p simProbe) HierarchyRun(stage string, l2Fetches, l2FetchMisses, l2Writes, l2WriteMisses, victimHits uint64) {
-	p.s.hierL2Fetches.Add(int64(l2Fetches))
-	p.s.hierL2FetchMisses.Add(int64(l2FetchMisses))
-	p.s.hierL2Writes.Add(int64(l2Writes))
-	p.s.hierL2WriteMisses.Add(int64(l2WriteMisses))
-	p.s.hierVictimHits.Add(int64(victimHits))
-}
-
-var _ obs.SampleProbe = simProbe{}
-var _ obs.ParallelProbe = simProbe{}
-var _ obs.HierarchyProbe = simProbe{}

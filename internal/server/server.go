@@ -152,6 +152,8 @@ type Server struct {
 
 	baseCtx   context.Context
 	closeBase context.CancelFunc
+	// sink feeds engine events into the metrics; installed on every flight.
+	sink *obs.Sink
 	// jobProgress throttles each job stage's progress events
 	// (jobProgressInterval; zero streams every engine tick).
 	jobProgress time.Duration
@@ -192,6 +194,9 @@ func New(cfg Config) *Server {
 		closeBase:   cancel,
 		jobProgress: jobProgressInterval,
 	}
+	// The server's sink publishes 3C attribution, so it opts every
+	// per-size run it instruments into it.
+	s.sink = &obs.Sink{Emit: s.observe, MissCauses: true}
 	s.buildProm()
 	s.buildCatalog()
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
@@ -716,7 +721,7 @@ func evalRequestKey(req *EvaluateRequest, design cache.SystemConfig, mixName str
 // evalFlight returns the flight body shared by the synchronous handler and
 // the async job runner: everything from trace setup to the mode dispatch.
 // The caller decorates the flight context first (request identity and
-// probe — flightCtx for synchronous requests, jobFlightCtx for jobs).
+// sink — flightCtx for synchronous requests, jobFlightCtx for jobs).
 func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix workload.Mix, l2cfg *cache.Config) func(context.Context) (any, error) {
 	return func(fctx context.Context) (any, error) {
 		fctx, tr := obs.NewTrace(fctx)
@@ -765,7 +770,7 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 }
 
 // flightCtx grafts the requesting caller's observability identity — request
-// ID, request-scoped logger — plus the server's engine probe onto a flight's
+// ID, request-scoped logger — plus the server's engine sink onto a flight's
 // context. Flights descend from the server's base context (they must outlive
 // any one waiter), so the request-derived values do not come along for free;
 // when several requests share one flight the spawning caller's identity
@@ -773,7 +778,7 @@ func (s *Server) evalFlight(req *EvaluateRequest, design cache.SystemConfig, mix
 func (s *Server) flightCtx(fctx, rctx context.Context) context.Context {
 	fctx = obs.WithRequestID(fctx, obs.RequestID(rctx))
 	fctx = obs.WithLogger(fctx, obs.Logger(rctx))
-	return obs.WithProbe(fctx, simProbe{s})
+	return obs.WithSink(fctx, s.sink)
 }
 
 // SweepRequest is the POST /v1/sweep body. Empty mixes selects the paper's
@@ -1011,7 +1016,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := s.sweepOptions(&req, repl)
-	opts.Probe = simProbe{s}
+	opts.Probe = s.sink
 	key, err := sweepRequestKey(&req, repl)
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, err.Error())

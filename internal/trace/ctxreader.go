@@ -15,7 +15,7 @@ const ctxCheckInterval = 1024
 // ContextReader wraps a Reader and aborts the stream with the context's
 // error once the context is cancelled or its deadline passes. It is how
 // long-running simulations honour per-request deadlines: every layer that
-// consumes the stream (System.Run, Collect, StackSim.Run) stops at the
+// consumes the stream (System.Run, Collect, MultiSystem.Run) stops at the
 // first non-EOF error.
 type ContextReader struct {
 	ctx   context.Context

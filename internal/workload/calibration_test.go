@@ -9,14 +9,26 @@ package workload_test
 // comparison) before updating these numbers.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
-	"cacheeval/internal/cache"
+	"cacheeval/internal/core"
 	"cacheeval/internal/trace"
 	"cacheeval/internal/workload"
 )
+
+// faMissRatio is the fully-associative LRU demand miss ratio of rd at one
+// cache size with 16-byte lines and no purges (the Table 1 configuration).
+func faMissRatio(t *testing.T, rd trace.Reader, size int) float64 {
+	t.Helper()
+	out, err := core.RunSweep(context.Background(), core.SweepSpec{Sizes: []int{size}, LineSize: 16}, rd, nil, "calibration", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Results[0].Ref.MissRatio()
+}
 
 // calibRefs caps per-trace length for test speed; aggregates at 60k
 // references sit within a few percent of the full-length values.
@@ -62,13 +74,6 @@ func TestCorpusCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := cache.NewStackSim(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range refs {
-			sim.Ref(r.Addr)
-		}
 		g := workload.Group(spec)
 		a := aggs[g]
 		if a == nil {
@@ -79,7 +84,7 @@ func TestCorpusCalibration(t *testing.T) {
 		a.fi += ch.FracIFetch()
 		a.fb += ch.FracBranch()
 		a.as += float64(ch.ASpace())
-		a.miss1K += sim.MissRatio(1024)
+		a.miss1K += faMissRatio(t, trace.NewSliceReader(refs), 1024)
 	}
 	for group, want := range calibTargets {
 		a := aggs[group]
@@ -124,14 +129,7 @@ func TestMVSWorstInCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := cache.NewStackSim(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.Run(trace.NewLimitReader(rd, calibRefs), 0); err != nil {
-			t.Fatal(err)
-		}
-		miss := sim.MissRatio(4096)
+		miss := faMissRatio(t, trace.NewLimitReader(rd, calibRefs), 4096)
 		if strings.HasPrefix(spec.Name, "MVS") {
 			if miss < mvsBest {
 				mvsBest = miss
