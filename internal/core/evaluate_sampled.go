@@ -33,7 +33,6 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 		size = design.I.Size + design.D.Size
 	}
 	stage := "simulate:" + name
-	sink := obs.SinkFrom(ctx)
 	lineSize := design.Unified.LineSize
 	if design.Split {
 		lineSize = design.I.LineSize
@@ -62,13 +61,8 @@ func EvaluateSampledRefsContext(ctx context.Context, design cache.SystemConfig, 
 			return sp.End
 		},
 	}
-	if sink != nil {
-		ctrl.OnRoundDone = func(round int, a sampling.Attempt) {
-			sink.Emit(obs.Event{Kind: obs.SampledRound, Stage: stage, Round: round,
-				Achieved: a.Achieved, Budget: od.ErrorBudget, Fraction: a.Fraction})
-		}
-	}
-	run := startSampledRun(sink, stage, len(refs))
+	run := startSampledRun(obs.SinkFrom(ctx), stage, len(refs))
+	ctrl.OnRoundDone = run.roundDone(od.ErrorBudget)
 	var g *sampling.Systems
 	outc, err := ctrl.Run(len(refs), 1,
 		func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },

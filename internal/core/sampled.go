@@ -265,13 +265,8 @@ func init() {
 				return func() { sp.AddRefs(int64(p.Window) * int64(p.Windows(len(refs)))); sp.End() }
 			},
 		}
-		if sink != nil {
-			ctrl.OnRoundDone = func(round int, a sampling.Attempt) {
-				sink.Emit(obs.Event{Kind: obs.SampledRound, Stage: stage, Round: round,
-					Achieved: a.Achieved, Budget: o.ErrorBudget, Fraction: a.Fraction})
-			}
-		}
 		run := startSampledRun(sink, stage, len(refs))
+		ctrl.OnRoundDone = run.roundDone(o.ErrorBudget)
 		outc, err := ctrl.Run(len(refs), len(s.Sizes),
 			func() trace.Reader { return trace.NewContextReader(ctx, trace.NewSliceReader(refs)) },
 			func() (sampling.Target, error) { return sampledTarget(s) },
@@ -358,6 +353,18 @@ func startSampledRun(sink *obs.Sink, stage string, total int) sampledRun {
 		sink.Emit(obs.Event{Kind: obs.RunStart, Stage: stage + ":sampled", Refs: int64(total)})
 	}
 	return sampledRun{sink, stage, time.Now()}
+}
+
+// roundDone returns the controller hook that reports each adaptive round
+// as a SampledRound event, or nil without a sink.
+func (r sampledRun) roundDone(budget float64) func(int, sampling.Attempt) {
+	if r.sink == nil {
+		return nil
+	}
+	return func(round int, a sampling.Attempt) {
+		r.sink.Emit(obs.Event{Kind: obs.SampledRound, Stage: r.stage, Round: round,
+			Achieved: a.Achieved, Budget: budget, Fraction: a.Fraction})
+	}
 }
 
 // end emits the pass's RunEnd and, for a pass that completed (info
