@@ -126,3 +126,50 @@ func TestCheckExpositionRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramSum pins the Sum accessor against the exposed _sum sample:
+// NaN observations are dropped from both the count and the sum, and
+// negative observations still add in.
+func TestHistogramSum(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("h", "h.", []float64{1})
+	if got := h.Sum(); got != 0 {
+		t.Fatalf("empty sum = %v, want 0", got)
+	}
+	for _, v := range []float64{0.25, math.NaN(), 2, -0.5, math.NaN()} {
+		h.Observe(v)
+	}
+	if got, n := h.Sum(), h.Count(); got != 1.75 || n != 3 {
+		t.Fatalf("sum, count = %v, %d; want 1.75, 3 (NaN skipped)", got, n)
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "h_sum 1.75\nh_count 3\n") {
+		t.Errorf("exposition disagrees with Sum/Count:\n%s", b.String())
+	}
+}
+
+// TestFloatCounter pins the float counter: fractional totals, ignored
+// negative and NaN deltas, and a counter-typed family in the exposition.
+func TestFloatCounter(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewFloatCounter("test_seconds_total", "Seconds spent.")
+	for _, v := range []float64{0.5, -3, math.NaN(), 1.25} {
+		c.Add(v)
+	}
+	if got := c.Value(); got != 1.75 {
+		t.Fatalf("value = %v, want 1.75", got)
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP test_seconds_total Seconds spent.\n" +
+		"# TYPE test_seconds_total counter\n" +
+		"test_seconds_total 1.75\n"
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n got: %q\nwant: %q", got, want)
+	}
+}

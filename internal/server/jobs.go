@@ -100,7 +100,7 @@ type JobStatusOut struct {
 }
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	s.metrics.JobRequests.Add(1)
+	s.metrics.jobRequests.Add(1)
 	var req JobRequest
 	if !s.decode(w, r, &req) {
 		return

@@ -137,8 +137,6 @@ func (s *Server) withWorker(fctx context.Context, fn func(context.Context) (any,
 		return nil, fctx.Err()
 	}
 	defer func() { <-s.workers }()
-	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
 	return fn(fctx)
 }
 

@@ -37,11 +37,11 @@ func (s *Server) cachedStream(key string, gen func() ([]trace.Ref, error)) ([]tr
 	s.mu.Lock()
 	if v, ok := s.streams.get(key); ok {
 		s.mu.Unlock()
-		s.metrics.StreamHits.Add(1)
+		s.metrics.streamHits.Add(1)
 		return v.([]trace.Ref), nil
 	}
 	s.mu.Unlock()
-	s.metrics.StreamMisses.Add(1)
+	s.metrics.streamMisses.Add(1)
 	refs, err := gen()
 	if err != nil {
 		return nil, err
