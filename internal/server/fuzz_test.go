@@ -104,6 +104,10 @@ func FuzzSweepRequestDecode(f *testing.F) {
 	f.Add(`{"mixes":["FGO1"],"sizes":[256],"victim":2,"policy":"random"}`)
 	f.Add(`{"mixes":["FGO1"],"sizes":[256],"l2":{"size":16384},"mode":"sampled","error_budget":0.02}`)
 	f.Add(`{"mixes":["FGO1"],"sizes":[256],"victim":2,"parallel":4}`)
+	f.Add(`{"mixes":["FGO1"],"policy":"lfu","sizes":[1024,1024,1024,1024]}`)
+	f.Add(`{"mixes":["FGO1","CGO1","FGO1"]}`)
+	f.Add(`{"mixes":["FGO1"],"sizes":[4096,1024,4096]}`)
+	f.Add(`{"mixes":["FGO1"],"sizes":[1000]}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body))
 		w := httptest.NewRecorder()

@@ -109,6 +109,43 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsRepeats pins the sweep validator's bounds: a repeated mix
+// or size, or a size that is not a power of two, is a 400 on /v1/sweep and
+// on /v1/jobs (which share the validator), before any simulation or stream
+// materialization starts. Without them a body-sized list of one size asks
+// the per-size engine for one run per entry.
+func TestSweepRejectsRepeats(t *testing.T) {
+	t.Parallel()
+	s, hs := newTestServer(t, Config{})
+	flood := `{"mixes":["FGO1"],"policy":"lfu","sizes":[` +
+		strings.Repeat("1024,", 200_000) + `1024]}` // just under 1 MiB
+	for _, tc := range []struct{ name, body, msg string }{
+		{"repeated size", `{"mixes":["FGO1"],"sizes":[1024,4096,1024]}`, "sizes must be distinct"},
+		{"repeated mix", `{"mixes":["FGO1","CGO1","FGO1"],"sizes":[1024]}`, `duplicate mix \"FGO1\"`},
+		{"repeated default mix", `{"mixes":["Z8000 - Assorted","Z8000 - Assorted"]}`, "duplicate mix"},
+		{"non-power-of-two size", `{"mixes":["FGO1"],"sizes":[1000]}`, "powers of two, got 1000"},
+		{"size flood", flood, "sizes must be distinct"},
+	} {
+		for _, ep := range []struct{ path, body string }{
+			{"/v1/sweep", tc.body},
+			{"/v1/jobs", `{"sweep":` + tc.body + `}`},
+		} {
+			code, b := post(t, hs.URL+ep.path, ep.body)
+			if code != http.StatusBadRequest || !strings.Contains(string(b), tc.msg) {
+				t.Errorf("%s on %s: status %d %.200s, want 400 naming %q", tc.name, ep.path, code, b, tc.msg)
+			}
+		}
+	}
+	if snap := s.snapshot(); snap.SimRuns != 0 || snap.StreamMisses != 0 {
+		t.Errorf("rejected sweeps reached the engines: %+v", snap)
+	}
+	// Distinct sizes in any order, over distinct mixes, still run.
+	body := `{"mixes":["FGO1","CGO1"],"sizes":[4096,1024],"ref_limit":20000}`
+	if code, b := post(t, hs.URL+"/v1/sweep", body); code != http.StatusOK {
+		t.Errorf("distinct sweep: status %d %s", code, b)
+	}
+}
+
 func TestEvaluateEndToEnd(t *testing.T) {
 	t.Parallel()
 	s, hs := newTestServer(t, Config{})
