@@ -4,8 +4,9 @@
 # Builds cacheserved, starts it on an ephemeral port, exercises /healthz and
 # both /metrics formats, drives one simulation through /v1/evaluate, and
 # greps the Prometheus exposition for the metric families the README
-# documents (including a histogram with cumulative buckets). Exits non-zero
-# on the first failure. Run via `make obs-smoke`.
+# documents (including a histogram with cumulative buckets). After an async
+# job it checks that the JSON snapshot and the exposition report the same
+# counts. Exits non-zero on the first failure. Run via `make obs-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -66,7 +67,7 @@ grep -qE 'cacheeval_evaluate_duration_seconds_bucket\{le="\+Inf"\} [1-9]' "$prom
 grep -qE 'cacheeval_engine_refs_total 20000' "$prom" \
     || fail "engine refs counter did not see the simulation"
 
-# JSON format still serves the expvar snapshot with the derived ratios.
+# The JSON format serves the same counters with the derived ratios.
 json="$workdir/metrics.json"
 $CURL -fsS "http://$addr/metrics?format=json" >"$json" || fail "/metrics?format=json unreachable"
 for key in memo_hit_ratio stream_hit_ratio sim_seconds_avg; do
@@ -122,5 +123,18 @@ for family in \
     grep -qF "$family" "$prom" || fail "missing exposition line: $family"
 done
 grep -qE 'cacheeval_jobs_created_total [1-9]' "$prom" || fail "jobs counter did not move"
+
+# Both formats read one store, and scrapes move neither counter, so with
+# the traffic above finished the JSON and Prometheus counts must agree.
+$CURL -fsS "http://$addr/metrics?format=json" >"$json" || fail "/metrics?format=json unreachable"
+$CURL -fsS "http://$addr/metrics" >"$prom" || fail "/metrics unreachable"
+for pair in sim_runs:cacheeval_sim_runs_total memo_misses:cacheeval_memo_misses_total; do
+    key=${pair%%:*}
+    family=${pair#*:}
+    j=$(sed -n "s/^  \"$key\": \([0-9]*\),*\$/\1/p" "$json")
+    p=$(sed -n "s/^$family \([0-9]*\)\$/\1/p" "$prom")
+    [ -n "$j" ] && [ "$j" -gt 0 ] && [ "$j" = "$p" ] \
+        || fail "JSON $key is '$j' but $family is '$p'"
+done
 
 echo "obs-smoke: OK"
