@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -317,6 +318,34 @@ func TestStatsAdd(t *testing.T) {
 	a.Add(b)
 	if a.Accesses != 2 || a.Misses != 4 || a.BytesToMemory != 24 || a.PurgePushes != 20 {
 		t.Fatalf("Add = %+v", a)
+	}
+}
+
+// TestStatsAddSub sets every Stats field, found by reflection, to a
+// distinct value, so a field added later that Add or Sub forgets fails
+// here: Add must sum every field and Sub must undo it exactly.
+func TestStatsAddSub(t *testing.T) {
+	var base, delta Stats
+	bv, dv := reflect.ValueOf(&base).Elem(), reflect.ValueOf(&delta).Elem()
+	for i := 0; i < bv.NumField(); i++ {
+		if bv.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Stats.%s is %s; Add and Sub assume uint64 counts",
+				bv.Type().Field(i).Name, bv.Field(i).Kind())
+		}
+		bv.Field(i).SetUint(uint64(1000 + i))
+		dv.Field(i).SetUint(uint64(1 + 7*i))
+	}
+	sum := base
+	sum.Add(delta)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Uint(), uint64(1000+i)+uint64(1+7*i); got != want {
+			t.Errorf("Add: Stats.%s = %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
+	}
+	sum.Sub(delta)
+	if sum != base {
+		t.Errorf("Add then Sub = %+v, want %+v", sum, base)
 	}
 }
 

@@ -140,3 +140,24 @@ func (s *Stats) Add(o Stats) {
 	s.VictimHits += o.VictimHits
 	s.VictimFills += o.VictimFills
 }
+
+// Sub removes o from s, undoing Add. Counts are unsigned and wrap, so a
+// difference of snapshots taken from one monotone run is exact.
+func (s *Stats) Sub(o Stats) {
+	s.Accesses -= o.Accesses
+	s.Misses -= o.Misses
+	s.WriteAccesses -= o.WriteAccesses
+	s.WriteMisses -= o.WriteMisses
+	s.DemandFetches -= o.DemandFetches
+	s.PrefetchFetches -= o.PrefetchFetches
+	s.PrefetchUsed -= o.PrefetchUsed
+	s.Pushes -= o.Pushes
+	s.DirtyPushes -= o.DirtyPushes
+	s.PurgePushes -= o.PurgePushes
+	s.BytesFromMemory -= o.BytesFromMemory
+	s.BytesToMemory -= o.BytesToMemory
+	s.WriteTransactions -= o.WriteTransactions
+	s.CombinedWrites -= o.CombinedWrites
+	s.VictimHits -= o.VictimHits
+	s.VictimFills -= o.VictimFills
+}

@@ -390,25 +390,8 @@ func subResults(dst, src []cache.SizeResult) {
 			d.Ref.Refs[k] -= s.Ref.Refs[k]
 			d.Ref.Misses[k] -= s.Ref.Misses[k]
 		}
-		subStats(&d.I, s.I)
-		subStats(&d.D, s.D)
-		subStats(&d.U, s.U)
+		d.I.Sub(s.I)
+		d.D.Sub(s.D)
+		d.U.Sub(s.U)
 	}
-}
-
-func subStats(d *cache.Stats, s cache.Stats) {
-	d.Accesses -= s.Accesses
-	d.Misses -= s.Misses
-	d.WriteAccesses -= s.WriteAccesses
-	d.WriteMisses -= s.WriteMisses
-	d.DemandFetches -= s.DemandFetches
-	d.PrefetchFetches -= s.PrefetchFetches
-	d.PrefetchUsed -= s.PrefetchUsed
-	d.Pushes -= s.Pushes
-	d.DirtyPushes -= s.DirtyPushes
-	d.PurgePushes -= s.PurgePushes
-	d.BytesFromMemory -= s.BytesFromMemory
-	d.BytesToMemory -= s.BytesToMemory
-	d.WriteTransactions -= s.WriteTransactions
-	d.CombinedWrites -= s.CombinedWrites
 }
