@@ -351,7 +351,7 @@ type multiSim struct {
 	k     int
 
 	nodes   []msNode
-	index   map[uint64]int32
+	index   lineIndex
 	head    int32
 	tail    int32
 	markers []int32 // markers[i]: node just outside size i, -1 if not yet full
@@ -389,7 +389,7 @@ func newMultiSim(lines []int) *multiSim {
 	return &multiSim{
 		lines:         lines,
 		k:             k,
-		index:         make(map[uint64]int32, 1024),
+		index:         newLineIndex(1024),
 		head:          -1,
 		tail:          -1,
 		markers:       newMarkers(k),
@@ -400,6 +400,71 @@ func newMultiSim(lines []int) *multiSim {
 		purgeHist:     make([]int64, k+1),
 		dirtyDiff:     make([]int64, k+1),
 	}
+}
+
+// lineIndex maps a line to its stack node for one purge epoch. Lines are
+// only added between purges and all dropped at once by a purge, so a plain
+// open-addressed table (Fibonacci hashing, linear probing, load factor at
+// most 1/2) needs no deletion. It keeps its grown size across purges, so a
+// warm engine never allocates; a Go map would not promise that, since
+// clearing one reseeds its hash and can make it regrow.
+type lineIndex struct {
+	slots []tagSlot // ni -1 = empty
+	shift uint      // 64 - log2(len(slots))
+	n     int
+}
+
+func newLineIndex(lines int) lineIndex {
+	m := 1
+	for m < 2*lines {
+		m <<= 1
+	}
+	x := lineIndex{slots: make([]tagSlot, m), shift: 64 - log2(m)}
+	x.reset()
+	return x
+}
+
+// get returns line's node, if indexed.
+func (x *lineIndex) get(line uint64) (int32, bool) {
+	mask := uint32(len(x.slots) - 1)
+	for i := uint32((line * fibMult) >> x.shift); ; i = (i + 1) & mask {
+		sl := &x.slots[i]
+		if sl.ni < 0 {
+			return -1, false
+		}
+		if sl.tag == line {
+			return sl.ni, true
+		}
+	}
+}
+
+// put indexes an absent line, doubling the table first if it would pass
+// half full.
+func (x *lineIndex) put(line uint64, ni int32) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		*x = newLineIndex(len(old))
+		for _, sl := range old {
+			if sl.ni >= 0 {
+				x.put(sl.tag, sl.ni)
+			}
+		}
+	}
+	mask := uint32(len(x.slots) - 1)
+	i := uint32((line * fibMult) >> x.shift)
+	for x.slots[i].ni >= 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = tagSlot{tag: line, ni: ni}
+	x.n++
+}
+
+// reset empties the index, keeping its size.
+func (x *lineIndex) reset() {
+	for i := range x.slots {
+		x.slots[i].ni = -1
+	}
+	x.n = 0
 }
 
 func newMarkers(k int) []int32 {
@@ -418,7 +483,7 @@ func (s *multiSim) access(line uint64, write bool) int {
 	if write {
 		s.writeAccesses++
 	}
-	ni, ok := s.index[line]
+	ni, ok := s.index.get(line)
 	if !ok {
 		return s.cold(line, write)
 	}
@@ -478,7 +543,7 @@ func (s *multiSim) cold(line uint64, write bool) int {
 	}
 	ni := int32(len(s.nodes))
 	s.nodes = append(s.nodes, msNode{line: line, prev: -1, next: -1, written: write})
-	s.index[line] = ni
+	s.index.put(line, ni)
 	s.pushFront(ni)
 	return k
 }
@@ -509,7 +574,7 @@ func (s *multiSim) settle(purge bool) {
 	}
 	if purge {
 		s.nodes = s.nodes[:0]
-		clear(s.index)
+		s.index.reset()
 		s.head, s.tail = -1, -1
 		for i := range s.markers {
 			s.markers[i] = -1
