@@ -417,6 +417,34 @@ func BenchmarkFanoutSystem(b *testing.B) {
 	b.SetBytes(int64(len(refs)))
 }
 
+// BenchmarkFanoutSystemSplit is BenchmarkFanoutSystem with split
+// instruction and data caches: two organizations, each with its own tag
+// directory and twin schedule.
+func BenchmarkFanoutSystemSplit(b *testing.B) {
+	refs := benchRefs(b, "FGO1", 100000)
+	sizes := make([]int, 0, 12)
+	for s := 32; s <= 65536; s *= 2 {
+		sizes = append(sizes, s)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs, err := cacheeval.NewFanoutSystem(cacheeval.FanoutConfig{
+			Sizes: sizes, LineSize: 16, Split: true, PurgeInterval: 20000,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs.SetSink(nopSink, "bench", int64(len(refs)))
+		if _, err := fs.Run(trace.NewSliceReader(refs), 0); err != nil {
+			b.Fatal(err)
+		}
+		if fs.Results()[0].Ref.TotalRefs() == 0 {
+			b.Fatal("empty results")
+		}
+	}
+	b.SetBytes(int64(len(refs)))
+}
+
 func BenchmarkGenerator(b *testing.B) {
 	spec, err := workload.ByName("VCCOM")
 	if err != nil {

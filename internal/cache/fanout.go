@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"cacheeval/internal/obs"
@@ -18,15 +19,27 @@ import (
 // Prefetch breaks the LRU stack-inclusion property MultiSystem exploits — a
 // prefetched line enters the recency order without being referenced, and
 // whether the probe of line i+1 finds it resident depends on capacity — so
-// per-size cache state cannot be collapsed into one annotated stack. What
-// *can* be shared is every piece of per-reference work that does not depend
-// on capacity: the purge-interval schedule (driven by reference counts,
-// which are size-independent), the decomposition of line-straddling
-// references into fetch units, the per-kind reference counting, and the
-// access/write-access tallies (every size sees the same access sequence).
-// The engine computes those once per reference and fans the resulting unit
-// accesses out to one specialized cache per sweep size, replacing N full
-// stream passes per organization with one. See DESIGN.md §6.
+// per-size cache state cannot be collapsed into one annotated stack. Two
+// other things can be shared, per organization:
+//
+//   - Twins. A cache that has not evicted since the last purge behaves
+//     exactly like any larger cache holding the same lines, and frames are
+//     handed out in arena order until a cache fills, so the two are
+//     identical down to frame indices. After a purge every size is empty,
+//     so only the smallest is simulated; the larger sizes are its twins
+//     and are credited its count deltas. Before a reference that could
+//     make the representative evict (each spanned line inserts at most
+//     twice: its access and its probe), its state is handed off to the
+//     next size, which becomes the representative. With frequent purges
+//     the large sizes rarely fill, so most of them are never simulated.
+//   - One tag directory. Every size looks up the same lines, so a single
+//     open-addressed map from line to entry serves them all: an entry holds
+//     one frame column per size, so a spanned line costs one lookup for
+//     itself and one for its probe however many sizes run.
+//
+// The purge schedule, the decomposition of line-straddling references, the
+// per-kind reference counts and the access tallies are likewise computed
+// once per reference. See DESIGN.md §6.
 //
 // Results are bit-identical to running System once per size with
 // Config{Size: s, LineSize: LineSize, Fetch: PrefetchAlways} (fully
@@ -38,27 +51,18 @@ type FanoutSystem struct {
 	engineSink
 	cfg       FanoutConfig
 	lineShift uint
-	unit      uint64 // line size in bytes (the fetch granularity)
 
 	// sortedPos maps each index of cfg.Sizes to its index in the sorted
 	// deduplicated line-count order the engine simulates.
 	sortedPos []int
-	k         int // number of distinct simulated sizes
 
-	unified []fanoutCache // per distinct size; nil when split
-	icache  []fanoutCache // per distinct size; nil when unified
-	dcache  []fanoutCache
+	unified *fanOrg // nil when split
+	icache  *fanOrg // nil when unified
+	dcache  *fanOrg
 
-	// Size-independent tallies, computed once per reference instead of once
-	// per (reference, size): per-kind reference counts, per-organization
-	// line access/write-access counts (identical for every size in an
-	// organization, folded into each size's Stats by Results), and the
-	// processor-requested byte count.
+	// Size-independent tallies, computed once per reference: per-kind
+	// reference counts and the processor-requested byte count.
 	refs     [3]uint64
-	misses   [][3]uint64 // per-distinct-size, per-kind reference misses
-	uAcc     [2]uint64   // unified {accesses, write accesses}
-	iAcc     uint64      // icache accesses (never written)
-	dAcc     [2]uint64   // dcache {accesses, write accesses}
 	refBytes uint64
 
 	sincePurge int
@@ -97,7 +101,9 @@ func NewFanoutSystem(cfg FanoutConfig) (*FanoutSystem, error) {
 			return nil, err
 		}
 	}
-	// Collapse to sorted distinct line counts; sortedPos maps back.
+	// Collapse to sorted distinct line counts; sortedPos maps back. Sizes
+	// are powers of two, so there are at most 63 of them — the width of the
+	// per-reference miss mask in fanOrg.ref.
 	linesOf := make([]int, len(cfg.Sizes))
 	for i, size := range cfg.Sizes {
 		linesOf[i] = size / cfg.LineSize
@@ -114,19 +120,17 @@ func NewFanoutSystem(cfg FanoutConfig) (*FanoutSystem, error) {
 	f := &FanoutSystem{
 		cfg:       cfg,
 		lineShift: log2(cfg.LineSize),
-		unit:      uint64(cfg.LineSize),
 		sortedPos: make([]int, len(cfg.Sizes)),
-		k:         len(distinct),
-		misses:    make([][3]uint64, len(distinct)),
 	}
 	for i, l := range linesOf {
 		f.sortedPos[i] = sort.SearchInts(distinct, l)
 	}
+	lineBytes := uint64(cfg.LineSize)
 	if cfg.Split {
-		f.icache = newFanoutCaches(distinct, f.unit)
-		f.dcache = newFanoutCaches(distinct, f.unit)
+		f.icache = newFanOrg(distinct, lineBytes)
+		f.dcache = newFanOrg(distinct, lineBytes)
 	} else {
-		f.unified = newFanoutCaches(distinct, f.unit)
+		f.unified = newFanOrg(distinct, lineBytes)
 	}
 	return f, nil
 }
@@ -134,7 +138,7 @@ func NewFanoutSystem(cfg FanoutConfig) (*FanoutSystem, error) {
 // Ref processes one trace reference, mirroring System.Ref: purge
 // scheduling, line decomposition of straddling references, and
 // reference-level accounting — each computed once, then fanned out to every
-// size's caches.
+// simulated size of the organization that serves the reference.
 func (f *FanoutSystem) Ref(r trace.Ref) {
 	if f.cfg.PurgeInterval > 0 {
 		if f.sincePurge >= f.cfg.PurgeInterval {
@@ -143,91 +147,27 @@ func (f *FanoutSystem) Ref(r trace.Ref) {
 		}
 		f.sincePurge++
 	}
-	var caches []fanoutCache
-	write := r.Kind == trace.Write
 	size := int(r.Size)
 	if size < 1 {
 		size = 1
 	}
-	unit := f.unit
-	first := r.Addr &^ (unit - 1)
-	last := (r.Addr + uint64(size) - 1) &^ (unit - 1)
 	f.refs[r.Kind]++
 	f.refBytes += uint64(size)
-	firstLine := first >> f.lineShift
-	span := (last-first)>>f.lineShift + 1
-	if !f.cfg.Split {
-		caches = f.unified
-		f.uAcc[0] += span
-		if write {
-			f.uAcc[1] += span
-		}
-	} else if r.Kind == trace.IFetch {
-		caches = f.icache
-		f.iAcc += span
-	} else {
-		caches = f.dcache
-		f.dAcc[0] += span
-		if write {
-			f.dAcc[1] += span
+	o := f.unified
+	if f.cfg.Split {
+		o = f.dcache
+		if r.Kind == trace.IFetch {
+			o = f.icache
 		}
 	}
-	// A reference touches every line it spans; it counts once at the
-	// reference level and is, per size, a miss if any touched line missed
-	// there. Prefetch-always probes line i+1 after every access to line i.
-	if span == 1 {
-		next := firstLine + 1
-		for i := range caches {
-			c := &caches[i]
-			// Inline fast path: the kind's previous access hit this same
-			// line and its previous probe covered line+1 — the common shape
-			// of sequential code — so no index or list work is needed.
-			if c.lastLine[r.Kind] == firstLine {
-				if m := c.lastNode[r.Kind]; m >= 0 {
-					if n := &c.nodes[m]; n.flags&fanPresent != 0 && n.tag == firstLine {
-						if n.flags&fanPrefetched != 0 {
-							c.stats.PrefetchUsed++
-							n.flags &^= fanPrefetched
-						}
-						c.moveToFront(m)
-						if write {
-							n.flags |= fanDirty
-						}
-						if p := c.probeNode[r.Kind]; p >= 0 && c.lastProbe[r.Kind] == next {
-							if pn := &c.nodes[p]; pn.flags&fanPresent != 0 && pn.tag == next {
-								continue
-							}
-						}
-						c.probe(next, r.Kind)
-						continue
-					}
-				}
-			}
-			hit := c.access(firstLine, r.Kind, write)
-			c.probe(next, r.Kind)
-			if !hit {
-				f.misses[i][r.Kind]++
-			}
-		}
-		return
+	first := r.Addr >> f.lineShift
+	last := (r.Addr + uint64(size) - 1) >> f.lineShift
+	if last < first {
+		// The reference wraps past the top of the address space; System
+		// touches only its first line.
+		last = first
 	}
-	lastLine := last >> f.lineShift
-	for i := range caches {
-		c := &caches[i]
-		miss := false
-		for line := firstLine; ; line++ {
-			if !c.access(line, r.Kind, write) {
-				miss = true
-			}
-			c.probe(line+1, r.Kind)
-			if line >= lastLine {
-				break
-			}
-		}
-		if miss {
-			f.misses[i][r.Kind]++
-		}
-	}
+	o.ref(first, last, r.Kind, r.Kind == trace.Write)
 }
 
 // Purge empties every simulated cache at every size, accounting purge
@@ -235,11 +175,11 @@ func (f *FanoutSystem) Ref(r trace.Ref) {
 func (f *FanoutSystem) Purge() {
 	f.purges++
 	if f.cfg.Split {
-		purgeFanoutCaches(f.icache)
-		purgeFanoutCaches(f.dcache)
+		f.icache.purge()
+		f.dcache.purge()
 		return
 	}
-	purgeFanoutCaches(f.unified)
+	f.unified.purge()
 }
 
 // Purges returns how many task-switch purges have occurred.
@@ -257,8 +197,7 @@ func (f *FanoutSystem) RefSnapshot(dst []RefStats) []RefStats {
 		dst = make([]RefStats, len(f.cfg.Sizes))
 	}
 	for oi, si := range f.sortedPos {
-		dst[oi].Refs = f.refs
-		dst[oi].Misses = f.misses[si]
+		dst[oi] = f.result(si).Ref
 	}
 	return dst
 }
@@ -294,166 +233,330 @@ func (f *FanoutSystem) Run(rd trace.Reader, max int) (int, error) {
 func (f *FanoutSystem) Results() []SizeResult {
 	out := make([]SizeResult, len(f.cfg.Sizes))
 	for oi, si := range f.sortedPos {
-		r := SizeResult{Size: f.cfg.Sizes[oi]}
-		r.Ref.Refs = f.refs
-		r.Ref.Misses = f.misses[si]
-		if f.cfg.Split {
-			r.I = f.icache[si].stats
-			r.I.Accesses = f.iAcc
-			r.D = f.dcache[si].stats
-			r.D.Accesses, r.D.WriteAccesses = f.dAcc[0], f.dAcc[1]
-		} else {
-			r.U = f.unified[si].stats
-			r.U.Accesses, r.U.WriteAccesses = f.uAcc[0], f.uAcc[1]
-		}
-		out[oi] = r
+		out[oi] = f.result(si)
+		out[oi].Size = f.cfg.Sizes[oi]
 	}
 	return out
 }
 
+// result assembles distinct size si's outcome (Size left zero).
+func (f *FanoutSystem) result(si int) SizeResult {
+	r := SizeResult{Ref: RefStats{Refs: f.refs}}
+	if !f.cfg.Split {
+		r.U, r.Ref.Misses = f.unified.result(si)
+		return r
+	}
+	var im, dm [3]uint64
+	r.I, im = f.icache.result(si)
+	r.D, dm = f.dcache.result(si)
+	for k := range r.Ref.Misses {
+		r.Ref.Misses[k] = im[k] + dm[k]
+	}
+	return r
+}
+
+// fanOrg is one organization's caches — the unified cache, or one side of
+// a split system — at every distinct size, sharing one tag directory.
+type fanOrg struct {
+	caches []fanoutCache // ascending capacity
+	// live is the representative: caches[:live+1] are simulated, and every
+	// larger cache is a twin of caches[live], untouched since the last purge
+	// (its frames are stale and its counts are credited; see counts).
+	live int
+	dir  fanDir
+
+	// Line access and write-access counts are identical at every size, so
+	// they are tallied once and folded into each size's Stats by result.
+	accesses, writeAccesses uint64
+
+	// lineMask keeps line numbers inside the address space, so the probe
+	// after the top line wraps to line 0 as System's does.
+	lineMask uint64
+}
+
 // fanoutCache is one size's cache array: a specialization of Cache to the
 // engine's fixed policy (fully associative, LRU, copy-back, unsectored,
-// prefetch-always). The structure mirrors set — an intrusive recency list
-// over a frame arena plus a linear-scan (small) or open-addressed (large)
-// tag index — but with the policy dispatch stripped and the per-frame state
-// packed into 24 bytes (tag, two links, a flag byte; no sector masks), so
-// the list and index operations that dominate the fan-out hot path touch
-// half the memory the generic set would. Statistics are accounted exactly
-// as Cache does so the equivalence is bit-for-bit.
+// prefetch-always). A frame arena carries an intrusive recency list; which
+// frame holds a line is recorded in the organization's shared directory,
+// not here. Statistics are accounted exactly as Cache does so the
+// equivalence is bit-for-bit.
 type fanoutCache struct {
 	nodes []fanNode
 	head  int32
 	tail  int32
 	used  int32
-	table []tagSlot
-	shift uint // 64 - log2(len(table)); home slot = (tag * phi) >> shift
+	col   int // this size's frame column in the directory
 
 	lineBytes uint64
 
-	// Per-kind memos short-circuit the tag-index lookup on the sequential
-	// patterns that dominate traces: several consecutive fetches land in the
-	// same line, each access to line i probes the same line i+1, and an
-	// access to line i+1 usually follows a probe that just located it — but
-	// instruction and data references interleave, so one shared memo would
-	// thrash. lastLine/lastNode remember the frame that served the kind's
-	// previous access; lastProbe/probeNode remember the frame its previous
-	// probe found or fetched. Both self-validate against the frame's tag and
-	// presence bit (eviction clears the bit, reuse rewrites the tag), so
-	// evict and purge need no memo bookkeeping.
-	lastLine  [3]uint64
-	lastNode  [3]int32
-	lastProbe [3]uint64
-	probeNode [3]int32
-
-	stats Stats
+	// cur is the running count; base is the count right after the last
+	// purge. A twin's cur is stale: its true count is its base plus the
+	// representative's cur-base delta.
+	cur, base fanCounts
 }
 
-// fanNode is one frame: a compact node for the fan-out engine's fixed
-// unsectored policy (single dirty/prefetched/present bits instead of the
-// generic set's sector bitmaps).
+// fanCounts is everything a size counts: its line-level statistics and its
+// per-kind reference-level misses.
+type fanCounts struct {
+	stats  Stats
+	misses [3]uint64
+}
+
+// credit adds the counts a representative accumulated from then to now.
+func (a *fanCounts) credit(now, then fanCounts) {
+	a.stats.Add(now.stats)
+	a.stats.Sub(then.stats)
+	for k := range a.misses {
+		a.misses[k] += now.misses[k] - then.misses[k]
+	}
+}
+
+// fanNode is one frame: the directory entry of the resident line, two
+// recency links and the dirty/prefetched bits.
 type fanNode struct {
-	tag        uint64
+	entry      int32
 	prev, next int32
 	flags      uint8
 }
 
 const (
-	fanPresent uint8 = 1 << iota
-	fanDirty
+	fanDirty uint8 = 1 << iota
 	fanPrefetched
 )
 
-// newFanoutCaches builds one cache per distinct line count.
-func newFanoutCaches(lines []int, lineBytes uint64) []fanoutCache {
-	out := make([]fanoutCache, len(lines))
+// fanDir is an organization's tag directory: one open-addressed map from
+// line to entry (Fibonacci hashing, linear probing at load factor <= 1/2,
+// backward-shift deletion, as set's index). An entry holds one frame column
+// per size (-1 when that size does not hold the line) and a hold count: the
+// simulated sizes holding the line plus the pins of the reference in
+// flight. It lives while the count is positive. Every table is sized up
+// front for the worst case — every size full of distinct lines, plus two
+// pinned entries — so the simulation never allocates.
+type fanDir struct {
+	k      int       // frame columns per entry (distinct sizes)
+	table  []dirSlot // line -> entry
+	shift  uint      // 64 - log2(len(table)); home slot = (line * phi) >> shift
+	lines  []uint64  // per entry: its line
+	holds  []int32   // per entry: holding sizes plus pins
+	frames []int32   // per entry: k frame columns
+	next   int32     // next never-used entry; entry 0 is reserved
+	free   []int32   // released entries below next
+}
+
+// dirSlot is one directory table slot; entry 0 marks it empty, so a zeroed
+// table is an empty one.
+type dirSlot struct {
+	line  uint64
+	entry int32
+}
+
+func newFanOrg(lines []int, lineBytes uint64) *fanOrg {
+	o := &fanOrg{
+		caches:   make([]fanoutCache, len(lines)),
+		lineMask: ^uint64(0) >> log2(int(lineBytes)),
+	}
+	total := 0
 	for i, l := range lines {
-		c := fanoutCache{
+		o.caches[i] = fanoutCache{
 			nodes: make([]fanNode, l), head: -1, tail: -1,
-			lineBytes: lineBytes,
-			lastNode:  [3]int32{-1, -1, -1},
-			probeNode: [3]int32{-1, -1, -1},
+			col: i, lineBytes: lineBytes,
 		}
-		// Same index strategy as newSet: scan small arenas directly, index
-		// larger ones with an open-addressed table at ≤50% load.
-		if l > linearScanAssoc {
-			m := 1
-			for m < 2*l {
-				m <<= 1
-			}
-			c.table = make([]tagSlot, m)
-			for j := range c.table {
-				c.table[j].ni = -1
-			}
-			c.shift = 64 - log2(m)
-		}
-		out[i] = c
+		total += l
 	}
-	return out
+	entries := total + 2 + 1 // two pins, and the reserved entry 0
+	m := 1
+	for m < 2*entries {
+		m <<= 1
+	}
+	o.dir = fanDir{
+		k:      len(lines),
+		table:  make([]dirSlot, m),
+		shift:  64 - log2(m),
+		lines:  make([]uint64, entries),
+		holds:  make([]int32, entries),
+		frames: make([]int32, entries*len(lines)),
+		next:   1,
+		free:   make([]int32, 0, entries),
+	}
+	return o
 }
 
-// lookup finds the frame holding tag, if resident.
-func (c *fanoutCache) lookup(tag uint64) (int32, bool) {
-	if c.table == nil {
-		for i := int32(0); i < c.used; i++ {
-			if n := &c.nodes[i]; n.flags&fanPresent != 0 && n.tag == tag {
-				return i, true
+// ref simulates one reference spanning lines first..last at every size
+// that is not a twin. Lines are the outer loop so each costs one directory
+// lookup for itself and one for its probe; each size still sees its
+// accesses and probes in per-size order (access line i, probe line i+1,
+// access line i+1, ...). A reference is one reference-level miss at a size
+// if any of its lines missed there.
+func (o *fanOrg) ref(first, last uint64, kind trace.Kind, write bool) {
+	span := last - first + 1
+	o.accesses += span
+	if write {
+		o.writeAccesses += span
+	}
+	for o.live < len(o.caches)-1 {
+		if rep := &o.caches[o.live]; uint64(rep.used)+2*span <= uint64(len(rep.nodes)) {
+			break
+		}
+		o.handoff()
+	}
+	d := &o.dir
+	caches := o.caches[:o.live+1]
+	var missed uint64 // bit i: caches[i] missed some line
+	e := d.pin(first)
+	for line := first; ; line++ {
+		p := d.pin((line + 1) & o.lineMask)
+		ef := d.column(e)
+		pf := d.column(p)
+		for i := range caches {
+			c := &caches[i]
+			if !c.access(d, e, ef[i], write) {
+				missed |= 1 << i
+			}
+			if pf[i] < 0 {
+				c.probe(d, p)
 			}
 		}
-		return -1, false
+		d.release(e)
+		if line >= last {
+			d.release(p)
+			break
+		}
+		e = p
 	}
-	mask := uint32(len(c.table) - 1)
-	for i := uint32((tag * fibMult) >> c.shift); ; i = (i + 1) & mask {
-		sl := &c.table[i]
-		if sl.ni < 0 {
-			return -1, false
-		}
-		if sl.tag == tag {
-			return sl.ni, true
-		}
+	for ; missed != 0; missed &= missed - 1 {
+		caches[bits.TrailingZeros64(missed)].cur.misses[kind]++
 	}
 }
 
-// idxInsert records tag's frame in the open-addressed table.
-func (c *fanoutCache) idxInsert(tag uint64, ni int32) {
-	if c.table == nil {
+// handoff makes the next size the representative: the current one's
+// frames, recency list and counts are copied into it, and its directory
+// column filled in. Neither has evicted since the purge, so the frames are
+// identical index for index.
+func (o *fanOrg) handoff() {
+	from := &o.caches[o.live]
+	o.live++
+	to := &o.caches[o.live]
+	copy(to.nodes, from.nodes[:from.used])
+	to.head, to.tail, to.used = from.head, from.tail, from.used
+	to.cur = to.base
+	to.cur.credit(from.cur, from.base)
+	for fi, n := range to.nodes[:to.used] {
+		o.dir.frames[int(n.entry)*o.dir.k+to.col] = int32(fi)
+		o.dir.holds[n.entry]++
+	}
+}
+
+// purge empties every size. Only the simulated sizes are walked; a twin
+// holds exactly its representative's lines, so it is credited the
+// representative's counts since the last purge, purge pushes included.
+func (o *fanOrg) purge() {
+	rep := &o.caches[o.live]
+	then := rep.base
+	for i := range o.caches[:o.live+1] {
+		o.caches[i].purge()
+	}
+	for i := o.live + 1; i < len(o.caches); i++ {
+		o.caches[i].base.credit(rep.cur, then)
+	}
+	for i := range o.caches[:o.live+1] {
+		o.caches[i].base = o.caches[i].cur
+	}
+	o.live = 0
+	o.dir.reset()
+}
+
+// counts returns size i's counts, resolving a twin through its
+// representative.
+func (o *fanOrg) counts(i int) fanCounts {
+	if i <= o.live {
+		return o.caches[i].cur
+	}
+	rep := &o.caches[o.live]
+	c := o.caches[i].base
+	c.credit(rep.cur, rep.base)
+	return c
+}
+
+// result returns size i's statistics, with the size-independent access
+// tallies folded in, and its reference-level misses.
+func (o *fanOrg) result(i int) (Stats, [3]uint64) {
+	c := o.counts(i)
+	c.stats.Accesses, c.stats.WriteAccesses = o.accesses, o.writeAccesses
+	return c.stats, c.misses
+}
+
+// pin returns line's entry, creating it if no size holds the line, and
+// adds a hold so no eviction can free it until the matching release.
+func (d *fanDir) pin(line uint64) int32 {
+	mask := uint32(len(d.table) - 1)
+	i := uint32((line * fibMult) >> d.shift)
+	for ; d.table[i].entry != 0; i = (i + 1) & mask {
+		if d.table[i].line == line {
+			e := d.table[i].entry
+			d.holds[e]++
+			return e
+		}
+	}
+	var e int32
+	if n := len(d.free); n > 0 {
+		e = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		e = d.next
+		d.next++
+	}
+	d.table[i] = dirSlot{line: line, entry: e}
+	d.lines[e] = line
+	d.holds[e] = 1
+	col := d.column(e)
+	for j := range col {
+		col[j] = -1
+	}
+	return e
+}
+
+// column returns entry e's frame columns, one per size.
+func (d *fanDir) column(e int32) []int32 {
+	return d.frames[int(e)*d.k : int(e+1)*d.k]
+}
+
+// release drops one hold on e, deleting the entry when none is left. The
+// table slot is removed by backward shift exactly as set.idxDelete does.
+func (d *fanDir) release(e int32) {
+	if d.holds[e]--; d.holds[e] > 0 {
 		return
 	}
-	mask := uint32(len(c.table) - 1)
-	i := uint32((tag * fibMult) >> c.shift)
-	for c.table[i].ni >= 0 {
-		i = (i + 1) & mask
-	}
-	c.table[i] = tagSlot{tag: tag, ni: ni}
-}
-
-// idxDelete removes a resident tag from the table, back-shifting the probe
-// chain exactly as set.idxDelete does.
-func (c *fanoutCache) idxDelete(tag uint64) {
-	if c.table == nil {
-		return
-	}
-	mask := uint32(len(c.table) - 1)
-	i := uint32((tag * fibMult) >> c.shift)
-	for c.table[i].ni < 0 || c.table[i].tag != tag {
+	d.free = append(d.free, e)
+	mask := uint32(len(d.table) - 1)
+	i := uint32((d.lines[e] * fibMult) >> d.shift)
+	for d.table[i].entry != e {
 		i = (i + 1) & mask
 	}
 	for {
-		c.table[i].ni = -1
+		d.table[i].entry = 0
 		j := i
 		for {
 			j = (j + 1) & mask
-			sl := c.table[j]
-			if sl.ni < 0 {
+			sl := d.table[j]
+			if sl.entry == 0 {
 				return
 			}
-			home := uint32((sl.tag * fibMult) >> c.shift)
+			home := uint32((sl.line * fibMult) >> d.shift)
 			if (j-home)&mask >= (j-i)&mask {
-				c.table[i] = sl
+				d.table[i] = sl
 				break
 			}
 		}
 		i = j
 	}
+}
+
+// reset empties the directory wholesale: after a purge no size holds any
+// line.
+func (d *fanDir) reset() {
+	clear(d.table)
+	d.next = 1
+	d.free = d.free[:0]
 }
 
 // pushFront makes frame ni the recency-list head.
@@ -486,143 +589,90 @@ func (c *fanoutCache) unlink(ni int32) {
 	n.prev, n.next = -1, -1
 }
 
-// moveToFront marks frame ni most recently used.
-func (c *fanoutCache) moveToFront(ni int32) {
-	if c.head == ni {
-		return
-	}
-	c.unlink(ni)
-	c.pushFront(ni)
-}
-
-// access performs one demand reference to line, returning true on a hit.
-// Accesses/WriteAccesses are size-independent and tallied by the engine.
-func (c *fanoutCache) access(line uint64, kind trace.Kind, write bool) bool {
-	ni, ok := int32(-1), false
-	// Memo fast path: the kind's previous access often lands in the same
-	// line. The remembered frame self-validates (still present, still
-	// holding this tag), so eviction and purge need no bookkeeping here.
-	if m := c.lastNode[kind]; m >= 0 && c.lastLine[kind] == line {
-		if n := &c.nodes[m]; n.flags&fanPresent != 0 && n.tag == line {
-			ni, ok = m, true
-		}
-	}
-	if !ok {
-		// Sequential advance: the previous probe of this kind usually just
-		// located (or fetched) exactly this line.
-		if m := c.probeNode[kind]; m >= 0 && c.lastProbe[kind] == line {
-			if n := &c.nodes[m]; n.flags&fanPresent != 0 && n.tag == line {
-				ni, ok = m, true
-			}
-		}
-	}
-	if !ok {
-		ni, ok = c.lookup(line)
-	}
-	if ok {
+// access performs one demand reference to entry e's line, held in frame ni
+// (-1 when absent), returning true on a hit. Accesses/WriteAccesses are
+// size-independent and tallied by the organization.
+func (c *fanoutCache) access(d *fanDir, e, ni int32, write bool) bool {
+	if ni >= 0 {
 		n := &c.nodes[ni]
 		if n.flags&fanPrefetched != 0 {
-			c.stats.PrefetchUsed++
+			c.cur.stats.PrefetchUsed++
 			n.flags &^= fanPrefetched
 		}
-		c.moveToFront(ni)
+		if c.head != ni {
+			c.unlink(ni)
+			c.pushFront(ni)
+		}
 		if write {
 			n.flags |= fanDirty
 		}
-		c.lastLine[kind], c.lastNode[kind] = line, ni
 		return true
 	}
-	c.stats.Misses++
-	if write {
-		c.stats.WriteMisses++
-	}
+	c.cur.stats.Misses++
+	c.cur.stats.DemandFetches++
+	c.cur.stats.BytesFromMemory += c.lineBytes
 	// Copy-back fetch-on-write: a write miss loads the line and dirties it.
-	ni, n := c.insert(line, 0)
-	c.stats.DemandFetches++
-	c.stats.BytesFromMemory += c.lineBytes
+	var flags uint8
 	if write {
-		n.flags |= fanDirty
+		c.cur.stats.WriteMisses++
+		flags = fanDirty
 	}
-	c.lastLine[kind], c.lastNode[kind] = line, ni
+	c.insert(d, e, flags)
 	return false
 }
 
-// probe is the prefetch-always check of the next sequential line: fetch it
-// if absent. The fetch is traffic, never a miss, and does not touch the
-// recency order of an already-resident line.
-func (c *fanoutCache) probe(line uint64, kind trace.Kind) {
-	if m := c.probeNode[kind]; m >= 0 && c.lastProbe[kind] == line {
-		if n := &c.nodes[m]; n.flags&fanPresent != 0 && n.tag == line {
-			return
-		}
-	}
-	if ni, ok := c.lookup(line); ok {
-		c.lastProbe[kind], c.probeNode[kind] = line, ni
-		return
-	}
-	ni, _ := c.insert(line, fanPrefetched)
-	c.stats.PrefetchFetches++
-	c.stats.BytesFromMemory += c.lineBytes
-	c.lastProbe[kind], c.probeNode[kind] = line, ni
+// probe is the prefetch-always fetch of the next sequential line, called
+// only when it is absent. The fetch is traffic, never a miss; a resident
+// line's recency is left alone.
+func (c *fanoutCache) probe(d *fanDir, e int32) {
+	c.insert(d, e, fanPrefetched)
+	c.cur.stats.PrefetchFetches++
+	c.cur.stats.BytesFromMemory += c.lineBytes
 }
 
-// insert places line at the head of the recency list with the given extra
-// flags, evicting the LRU line if the cache is full.
-func (c *fanoutCache) insert(line uint64, flags uint8) (int32, *fanNode) {
+// insert places entry e's line at the head of the recency list with the
+// given flags, evicting the LRU line if the cache is full.
+func (c *fanoutCache) insert(d *fanDir, e int32, flags uint8) {
 	var ni int32
 	if c.used < int32(len(c.nodes)) {
 		ni = c.used
 		c.used++
 	} else {
 		ni = c.tail
-		c.evict(ni)
+		c.evict(d, ni)
 	}
 	n := &c.nodes[ni]
-	n.tag = line
-	n.flags = fanPresent | flags
-	c.idxInsert(line, ni)
+	n.entry, n.flags = e, flags
+	d.frames[int(e)*d.k+c.col] = ni
+	d.holds[e]++
 	c.pushFront(ni)
-	return ni, n
 }
 
 // evict pushes frame ni, writing back a dirty line.
-func (c *fanoutCache) evict(ni int32) {
+func (c *fanoutCache) evict(d *fanDir, ni int32) {
 	n := &c.nodes[ni]
-	c.stats.Pushes++
+	c.cur.stats.Pushes++
 	if n.flags&fanDirty != 0 {
-		c.stats.DirtyPushes++
-		c.stats.WriteTransactions++
-		c.stats.BytesToMemory += c.lineBytes
+		c.cur.stats.DirtyPushes++
+		c.cur.stats.WriteTransactions++
+		c.cur.stats.BytesToMemory += c.lineBytes
 	}
-	c.idxDelete(n.tag)
+	d.frames[int(n.entry)*d.k+c.col] = -1
+	d.release(n.entry)
 	c.unlink(ni)
-	n.flags = 0
 }
 
 // purge pushes every resident line. Accounting matches Cache.Purge; the
-// tag index is cleared wholesale rather than one backward-shift deletion
-// per line.
+// organization resets the directory wholesale afterwards.
 func (c *fanoutCache) purge() {
 	for ni := c.head; ni != -1; ni = c.nodes[ni].next {
-		n := &c.nodes[ni]
-		c.stats.Pushes++
-		c.stats.PurgePushes++
-		if n.flags&fanDirty != 0 {
-			c.stats.DirtyPushes++
-			c.stats.WriteTransactions++
-			c.stats.BytesToMemory += c.lineBytes
+		c.cur.stats.Pushes++
+		c.cur.stats.PurgePushes++
+		if c.nodes[ni].flags&fanDirty != 0 {
+			c.cur.stats.DirtyPushes++
+			c.cur.stats.WriteTransactions++
+			c.cur.stats.BytesToMemory += c.lineBytes
 		}
-		n.flags = 0
 	}
 	c.head, c.tail, c.used = -1, -1, 0
-	for i := range c.table {
-		c.table[i].ni = -1
-	}
-}
-
-// purgeFanoutCaches purges one organization's array at every size.
-func purgeFanoutCaches(caches []fanoutCache) {
-	for i := range caches {
-		caches[i].purge()
-	}
 }

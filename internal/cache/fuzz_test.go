@@ -1,11 +1,13 @@
 package cache_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"cacheeval/internal/cache"
 	"cacheeval/internal/simcheck"
+	"cacheeval/internal/trace"
 )
 
 // FuzzConfigValidate fuzzes the configuration space: Validate must never
@@ -89,5 +91,87 @@ func FuzzConfigValidate(f *testing.F) {
 				t.Fatalf("%+v: stats diverge\n  impl %+v\noracle %+v", cfg, got, want)
 			}
 		}
+	})
+}
+
+// encodeFanoutRefs is the inverse of the reference decoding in
+// FuzzFanoutMatchesSystem for references in the bottom 4 KB.
+func encodeFanoutRefs(refs []trace.Ref) []byte {
+	data := make([]byte, 0, 3*len(refs))
+	for _, r := range refs {
+		data = append(data, byte(r.Addr), byte(r.Addr>>8)&0x0f|byte(r.Kind)<<4, r.Size)
+	}
+	return data
+}
+
+// FuzzFanoutMatchesSystem holds the fan-out engine to one System per size
+// on arbitrary inputs. The bytes decode into references, three bytes each:
+// a 12-bit offset into the bottom or the top 4 KB of the address space, a
+// kind and a size. The other arguments pick the size subset (bit j of
+// sizeMask selects lineSize<<j), the line size (4 to 32 bytes), the purge
+// quantum and the organization. Results and RefSnapshot are compared
+// halfway through the stream and at its end. The corpus is seeded with the
+// hand-off streams of TestFanoutTwinHandoff.
+func FuzzFanoutMatchesSystem(f *testing.F) {
+	var handoffMask uint16
+	for _, size := range handoffSizes {
+		handoffMask |= uint16(size / 16)
+	}
+	for _, refs := range handoffStreams() {
+		for _, q := range []uint16{0, 5} {
+			f.Add(encodeFanoutRefs(refs), handoffMask, uint8(2), q, false)
+			f.Add(encodeFanoutRefs(refs), handoffMask, uint8(2), q, true)
+		}
+	}
+	f.Add(encodeFanoutRefs(simcheck.Stream(5, 300)), uint16(0x3ff), uint8(1), uint16(37), true)
+	// Straddles of the top of the address space.
+	f.Add([]byte{0xf0, 0x8f, 40, 0xfe, 0x9f, 4, 0x00, 0x80, 1, 0x00, 0x00, 1}, uint16(0x7), uint8(2), uint16(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, sizeMask uint16, lineLog uint8, quantum uint16, split bool) {
+		if len(data) > 3*512 {
+			data = data[:3*512] // bounds the cost of one run
+		}
+		refs := make([]trace.Ref, 0, len(data)/3)
+		for i := 0; i+3 <= len(data); i += 3 {
+			r := trace.Ref{
+				Addr: uint64(data[i]) | uint64(data[i+1]&0x0f)<<8,
+				Kind: trace.Kind(data[i+1]>>4&3) % 3,
+				Size: data[i+2],
+			}
+			if data[i+1]&0x80 != 0 {
+				r.Addr |= ^uint64(0xfff) // the top 4 KB, where references wrap
+			}
+			refs = append(refs, r)
+		}
+		lineSize := 4 << (lineLog % 4)
+		var sizes []int
+		for j := 0; j < 10; j++ {
+			if sizeMask&(1<<j) != 0 {
+				sizes = append(sizes, lineSize<<j)
+			}
+		}
+		if len(sizes) == 0 {
+			sizes = []int{lineSize}
+		}
+		q := int(quantum % 512)
+		g := prefetchGrid(sizes, lineSize, split)
+		fs, err := cache.NewFanoutSystem(cache.FanoutConfig{
+			Sizes: sizes, LineSize: lineSize, Split: split, PurgeInterval: q,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(n int) {
+			w := simcheck.Workload{Name: "fuzz", Refs: refs[:n], Quantum: q}
+			mustMatchSystem(t, fmt.Sprintf("after %d refs", n), fs, g, w)
+		}
+		half := len(refs) / 2
+		for _, r := range refs[:half] {
+			fs.Ref(r)
+		}
+		check(half)
+		for _, r := range refs[half:] {
+			fs.Ref(r)
+		}
+		check(len(refs))
 	})
 }

@@ -178,37 +178,44 @@ func (s *multiSim) markerDepth(i int) int {
 
 // StateEqual reports whether two engines built from the same FanoutConfig
 // hold identical logical state: per size, the same lines in the same
-// recency order with the same dirty and prefetched bits. The per-kind
-// access/probe memos are excluded — they self-validate against the frame
-// they point at, so a stale or missing memo changes which lookup path runs
-// but never its outcome.
+// recency order with the same dirty and prefetched bits. A twin size is
+// read through its representative, whose state it shares; frame indices
+// and the directory layout are allocation details and excluded.
 func (f *FanoutSystem) StateEqual(o *FanoutSystem) bool {
-	return fanoutCachesEqual(f.unified, o.unified) &&
-		fanoutCachesEqual(f.icache, o.icache) &&
-		fanoutCachesEqual(f.dcache, o.dcache)
+	return fanOrgPairEqual(f.unified, o.unified) &&
+		fanOrgPairEqual(f.icache, o.icache) &&
+		fanOrgPairEqual(f.dcache, o.dcache)
 }
 
-func fanoutCachesEqual(a, b []fanoutCache) bool {
-	if len(a) != len(b) {
+func fanOrgPairEqual(a, b *fanOrg) bool {
+	if (a == nil) != (b == nil) {
 		return false
 	}
-	for i := range a {
-		if !a[i].stateEqual(&b[i]) {
+	if a == nil {
+		return true
+	}
+	if len(a.caches) != len(b.caches) {
+		return false
+	}
+	// Past both representatives every size resolves to the same pair.
+	for i := 0; i <= max(a.live, b.live); i++ {
+		ac := &a.caches[min(i, a.live)]
+		bc := &b.caches[min(i, b.live)]
+		if !ac.stateEqual(&a.dir, bc, &b.dir) {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *fanoutCache) stateEqual(o *fanoutCache) bool {
-	const observable = fanDirty | fanPrefetched
+func (c *fanoutCache) stateEqual(cd *fanDir, o *fanoutCache, od *fanDir) bool {
 	bi := o.head
 	for ai := c.head; ai != -1; ai = c.nodes[ai].next {
 		if bi == -1 {
 			return false
 		}
 		an, bn := &c.nodes[ai], &o.nodes[bi]
-		if an.tag != bn.tag || an.flags&observable != bn.flags&observable {
+		if cd.lines[an.entry] != od.lines[bn.entry] || an.flags != bn.flags {
 			return false
 		}
 		bi = bn.next
