@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cacheeval"
+	"cacheeval/internal/cache"
 	"cacheeval/internal/core"
 	"cacheeval/internal/experiments"
 	"cacheeval/internal/obs"
@@ -295,6 +296,21 @@ func BenchmarkSweepHierarchy(b *testing.B) {
 	o, mixes := benchSampledOpts(b)
 	o.Victim = 4
 	o.L2 = &core.L2Spec{Size: 262144, LineSize: 64}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.SweepMixes(o, mixes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepPerSize runs the same grid as BenchmarkSweepHierarchy under
+// ARC replacement and no second level. ARC breaks stack inclusion, so the
+// registry routes every pass to the per-size engine, which this benchmark
+// times on its own.
+func BenchmarkSweepPerSize(b *testing.B) {
+	o, mixes := benchSampledOpts(b)
+	o.Repl = cache.ARC
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.SweepMixes(o, mixes); err != nil {

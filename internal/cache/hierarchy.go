@@ -18,7 +18,9 @@ import (
 // the L1 size changes the *stream* the L2 receives, so L2 contents at one
 // L1 size are not a subset of contents at another, and no one-pass
 // multi-size engine is sound for hierarchies. The registry routes every
-// hierarchy spec to a per-size engine built on this type.
+// hierarchy spec to a per-size engine built on this type, which still
+// skips the purge intervals in which a smaller L1 never evicted: there the
+// streams do agree (RunHierarchies).
 
 // HierarchyConfig describes a two-level organization: a complete L1
 // system (split or unified, any policies, optionally victim-buffered)

@@ -239,17 +239,9 @@ var parallelEngine = SweepEngine{
 
 func init() {
 	parallelEngine.Run = func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
-		var refs []trace.Ref
-		ok := false
-		if sl, can := rd.(trace.Slicer); can {
-			refs, ok = sl.RestSlice()
-		}
-		if !ok {
-			var err error
-			refs, err = trace.Collect(rd, 0, int(total))
-			if err != nil {
-				return SweepOut{}, err
-			}
+		refs, err := borrowRefs(rd, total)
+		if err != nil {
+			return SweepOut{}, err
 		}
 		po := *s.Parallel
 		delegate := func(reason string) (SweepOut, error) {

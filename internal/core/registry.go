@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 
 	"cacheeval/internal/cache"
@@ -55,9 +56,9 @@ type SweepSpec struct {
 	Victim int
 	// L2 opts the sweep into two-level simulation: every L1 size runs in
 	// front of this second-level cache. The L2 sees only the L1's memory
-	// traffic, which changes with L1 size, so no multi-size engine is
-	// sound for hierarchies; the registry routes them to the per-size
-	// hierarchy engine.
+	// traffic, which changes with L1 size, so no one-pass engine is sound
+	// for hierarchies; the registry routes them to the per-size hierarchy
+	// engine.
 	L2 *L2Spec
 }
 
@@ -202,38 +203,38 @@ var fanoutEngine = SweepEngine{
 	},
 }
 
-// perSizeEngine: the universal fallback — materialize the stream once,
-// then run an independent cache.System per size. Sound for every
-// configuration by construction; slowest.
+// perSizeEngine: the universal fallback — borrow the materialized stream,
+// then run one cache.System per size. Sound for every configuration by
+// construction. cache.RunSystems runs the sizes in ascending order and lets
+// a size skip every purge interval in which the next smaller one never
+// evicted, crediting that interval's counters instead; it skips only when
+// the caches are fully associative and no 3C attribution is on (DESIGN.md
+// §6).
 var perSizeEngine = SweepEngine{
 	Name:     "persize",
 	Supports: func(SweepSpec) bool { return true },
 	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
-		refs, err := trace.Collect(rd, 0, 0)
+		refs, err := borrowRefs(rd, total)
 		if err != nil {
 			return SweepOut{}, err
 		}
-		out := make([]cache.SizeResult, len(s.Sizes))
-		var purges uint64
-		for i, size := range s.Sizes {
-			sys, err := cache.NewSystem(s.systemConfig(size))
-			if err != nil {
+		order := ascending(s.Sizes)
+		systems := make([]*cache.System, len(order))
+		for k, i := range order {
+			size := s.Sizes[i]
+			if systems[k], err = cache.NewSystem(s.systemConfig(size)); err != nil {
 				return SweepOut{}, err
 			}
-			sys.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			if _, err := sys.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
-				return SweepOut{}, err
-			}
-			r := cache.SizeResult{Size: size, Ref: sys.RefStats()}
-			if s.Split {
-				r.I, r.D = sys.ICache().Stats(), sys.DCache().Stats()
-			} else {
-				r.U = sys.Unified().Stats()
-			}
-			out[i] = r
-			purges = sys.Purges()
+			systems[k].SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
 		}
-		return SweepOut{Results: out, Purges: purges}, nil
+		if err := cache.RunSystems(ctx, systems, refs); err != nil {
+			return SweepOut{}, err
+		}
+		out := make([]cache.SizeResult, len(order))
+		for k, i := range order {
+			out[i] = l1Result(s.Sizes[i], systems[k])
+		}
+		return SweepOut{Results: out, Purges: systems[0].Purges()}, nil
 	},
 }
 
@@ -241,38 +242,72 @@ var perSizeEngine = SweepEngine{
 // Every hierarchy spec routes here — the L2's input stream is the L1's
 // memory traffic, which changes with L1 size, so no one-pass engine is
 // sound — and only hierarchy specs route here, keeping the single-level
-// engines' selection table untouched.
+// engines' selection table untouched. cache.RunHierarchies still skips,
+// size by size, every purge interval in which the next smaller L1 never
+// evicted: the L2 then sees the same events too, unless the L1 is
+// SegmentedLRU.
 var hierarchyEngine = SweepEngine{
 	Name:     "hierarchy",
 	Supports: func(s SweepSpec) bool { return s.L2 != nil },
 	Run: func(ctx context.Context, s SweepSpec, rd trace.Reader, sink *obs.Sink, stage string, total int64) (SweepOut, error) {
-		refs, err := trace.Collect(rd, 0, 0)
+		refs, err := borrowRefs(rd, total)
 		if err != nil {
 			return SweepOut{}, err
 		}
-		out := make([]cache.SizeResult, len(s.Sizes))
-		var purges uint64
-		for i, size := range s.Sizes {
-			h, err := cache.NewHierarchy(s.hierarchyConfig(size))
-			if err != nil {
+		order := ascending(s.Sizes)
+		hs := make([]*cache.Hierarchy, len(order))
+		for k, i := range order {
+			size := s.Sizes[i]
+			if hs[k], err = cache.NewHierarchy(s.hierarchyConfig(size)); err != nil {
 				return SweepOut{}, err
 			}
-			h.SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
-			if _, err := h.Run(trace.NewContextReader(ctx, trace.NewSliceReader(refs)), 0); err != nil {
-				return SweepOut{}, err
-			}
-			r := cache.SizeResult{Size: size, Ref: h.RefStats(),
-				H: cache.HierResult{Ev: h.HierStats(), U: h.L2Stats()}}
-			if s.Split {
-				r.I, r.D = h.L1().ICache().Stats(), h.L1().DCache().Stats()
-			} else {
-				r.U = h.L1().Unified().Stats()
-			}
-			out[i] = r
-			purges = h.Purges()
+			hs[k].SetSink(sink, stage+":"+strconv.Itoa(size), int64(len(refs)))
 		}
-		return SweepOut{Results: out, Purges: purges}, nil
+		if err := cache.RunHierarchies(ctx, hs, refs); err != nil {
+			return SweepOut{}, err
+		}
+		out := make([]cache.SizeResult, len(order))
+		for k, i := range order {
+			h := hs[k]
+			out[i] = l1Result(s.Sizes[i], h.L1())
+			out[i].H = cache.HierResult{Ev: h.HierStats(), U: h.L2Stats()}
+		}
+		return SweepOut{Results: out, Purges: hs[0].Purges()}, nil
 	},
+}
+
+// l1Result reads one size's result off its (L1) system.
+func l1Result(size int, sys *cache.System) cache.SizeResult {
+	r := cache.SizeResult{Size: size, Ref: sys.RefStats()}
+	if sys.Config().Split {
+		r.I, r.D = sys.ICache().Stats(), sys.DCache().Stats()
+	} else {
+		r.U = sys.Unified().Stats()
+	}
+	return r
+}
+
+// ascending returns the indices of sizes in ascending size order, the order
+// in which the per-size engines run them.
+func ascending(sizes []int) []int {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] < sizes[order[b]] })
+	return order
+}
+
+// borrowRefs returns the rest of rd's stream: its backing slice when rd can
+// share it (trace.Slicer), else a copy collected with total as the capacity
+// hint. The caller must not mutate the result.
+func borrowRefs(rd trace.Reader, total int64) ([]trace.Ref, error) {
+	if sl, ok := rd.(trace.Slicer); ok {
+		if refs, ok := sl.RestSlice(); ok {
+			return refs, nil
+		}
+	}
+	return trace.Collect(rd, 0, int(total))
 }
 
 // Engines returns the registered sweep engines in selection order: fastest

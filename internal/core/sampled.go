@@ -232,17 +232,9 @@ func init() {
 		// the stream in memory; borrow the backing slice when the reader can
 		// share it (the sweep layer always materializes first), collect
 		// otherwise.
-		var refs []trace.Ref
-		ok := false
-		if sl, can := rd.(trace.Slicer); can {
-			refs, ok = sl.RestSlice()
-		}
-		if !ok {
-			var err error
-			refs, err = trace.Collect(rd, 0, int(total))
-			if err != nil {
-				return SweepOut{}, err
-			}
+		refs, err := borrowRefs(rd, total)
+		if err != nil {
+			return SweepOut{}, err
 		}
 		o := s.Sampled.withDefaults()
 		cycle := o.CycleRefs
