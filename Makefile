@@ -61,12 +61,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # Record the perf trajectory: run the artifact + simulator benchmarks
-# (including the exact/sampled/parallel/hierarchy sweep family) and merge the
-# numbers into BENCH_7.json under the "after" key (use BENCHKEY=before to
-# record a baseline first). Prior records (BENCH_2..6.json) are kept as
-# history.
+# (including the exact/sampled/parallel/hierarchy sweep family, the workload
+# generator and the materialize layer) and merge the numbers into
+# BENCH_7.json under the "after" key (use BENCHKEY=before to record a
+# baseline first). Prior records (BENCH_2..6.json) are kept as history.
 BENCHKEY ?= after
-BENCHREGEX = Table|Figure|Cache|MultiSystem|FanoutSystem|Sweep
+BENCHREGEX = Table|Figure|Cache|MultiSystem|FanoutSystem|Sweep|Generator|CollectMix
 benchjson:
 	$(GO) test -run '^$$' -bench '$(BENCHREGEX)' -benchmem . \
 		| $(GO) run ./cmd/benchjson -key $(BENCHKEY) -o BENCH_7.json
@@ -85,7 +85,7 @@ benchcheck:
 # Fuzz smoke: run every Fuzz* target in the packages that define them for
 # FUZZTIME each (native go fuzzing; seeds always run under plain `go test`).
 FUZZTIME ?= 30s
-FUZZPKGS = ./internal/trace ./internal/cache ./internal/server
+FUZZPKGS = ./internal/trace ./internal/cache ./internal/server ./internal/workload
 fuzz:
 	@set -e; for pkg in $(FUZZPKGS); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

@@ -478,6 +478,31 @@ func BenchmarkGenerator(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectMix times the materialize layer: synthesizing the
+// paper corpus mixes (the sixteen Table 3 units plus the M68000
+// assortment) at paper run lengths through CollectMixContext, as the
+// master sweep and perfbench's paper-grid do. -short cuts each member to
+// 5000 references.
+func BenchmarkCollectMix(b *testing.B) {
+	o := experiments.Options{}
+	if testing.Short() {
+		o.RefLimit = 5000
+	}
+	mixes := append(workload.StandardMixes(), workload.M68000Mix())
+	refs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range mixes {
+			stream, err := o.CollectMixContext(context.Background(), m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			refs += len(stream)
+		}
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}
+
 func BenchmarkProgramModel(b *testing.B) {
 	g, err := workload.NewProgram(workload.VAXProgram(), 1)
 	if err != nil {

@@ -14,6 +14,20 @@
 //     memsys.Shaper to study how the memory interface width changes the
 //     stream (the paper's §1.1 point and the Z80000 critique of §1.2).
 //
+// # The LRU stack
+//
+// Both layers draw locality from an LRU stack (sampler.go): a Lomax draw
+// picks a stack depth, the line there is referenced and promoted. The
+// stack is an order-statistic structure — recency stamps, a bitmap of the
+// live ones and a Fenwick tree counting them per 64-stamp word — so
+// finding a depth and promoting a line cost O(log n), not the O(depth)
+// shift of an explicit list; renumbering the stamps when they run out is
+// linear and amortized O(1). It orders lines exactly as an explicit list
+// would, the depth draws and their RNG order are untouched, and an
+// oversized draw is clamped in float before its int conversion, so every
+// stream is bit-identical to the list-based generator's on every GOARCH.
+// stream_golden_test.go pins a hash of each corpus unit's full stream.
+//
 // # Calibration methodology
 //
 // This note documents how the synthetic corpus was calibrated so that a

@@ -278,10 +278,7 @@ func (g *Generator) dataWrite() trace.Ref {
 	if g.rng.Float64() < g.p.WriteSpread {
 		return g.scanStep(&g.wscan, trace.Write)
 	}
-	line := int(lomax(g.rng, g.p.HotK0, hotWriteAlpha))
-	if hot := g.p.hotLines(); line >= hot {
-		line = hot - 1
-	}
+	line := clampDepth(lomax(g.rng, g.p.HotK0, hotWriteAlpha), g.p.hotLines())
 	g.dataStack.Touch(uint32(line))
 	offset := uint64(g.rng.Intn(LineBytes/g.p.DataElem)) * uint64(g.p.DataElem)
 	return trace.Ref{

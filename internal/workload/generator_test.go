@@ -218,6 +218,32 @@ func TestHotLinesDefault(t *testing.T) {
 	}
 }
 
+// TestHotWriteOversizedDraw makes every hot-region write draw overflow the
+// int range: each must land on the last hot line on every GOARCH.
+func TestHotWriteOversizedDraw(t *testing.T) {
+	p := testParams()
+	p.WriteSpread = 0
+	p.HotK0 = 1e300
+	refs, err := Generate(p, 31, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := uint64(p.hotLines() - 1)
+	writes := 0
+	for _, r := range refs {
+		if r.Kind != trace.Write {
+			continue
+		}
+		writes++
+		if line := (r.Addr - DataBase) / LineBytes; line != last {
+			t.Fatalf("hot write to line %d, want the last hot line %d", line, last)
+		}
+	}
+	if writes == 0 {
+		t.Fatal("no writes generated")
+	}
+}
+
 func TestWriteSpreadDirection(t *testing.T) {
 	// More write spread must dirty more distinct lines.
 	distinctWritten := func(spread float64) int {
