@@ -503,6 +503,29 @@ func BenchmarkCollectMix(b *testing.B) {
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
 }
 
+// BenchmarkCollectMixSerial is BenchmarkCollectMix at Workers 1: every
+// member generated on the calling goroutine, the path the evaluation
+// service's stream cache takes at its default SimWorkers.
+func BenchmarkCollectMixSerial(b *testing.B) {
+	o := experiments.Options{Workers: 1}
+	if testing.Short() {
+		o.RefLimit = 5000
+	}
+	mixes := append(workload.StandardMixes(), workload.M68000Mix())
+	refs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range mixes {
+			stream, err := o.CollectMixContext(context.Background(), m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			refs += len(stream)
+		}
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}
+
 func BenchmarkProgramModel(b *testing.B) {
 	g, err := workload.NewProgram(workload.VAXProgram(), 1)
 	if err != nil {

@@ -87,14 +87,11 @@ func Evaluate(design cache.SystemConfig, mix workload.Mix, refLimit int) (Report
 // shortly after ctx is done, returning an error wrapping ctx.Err() (check
 // with errors.Is against context.Canceled or context.DeadlineExceeded).
 func EvaluateContext(ctx context.Context, design cache.SystemConfig, mix workload.Mix, refLimit int) (Report, error) {
-	rd, err := mix.Open()
+	refs, err := mix.Collect(ctx, 1, refLimit)
 	if err != nil {
-		return Report{}, err
+		return Report{}, fmt.Errorf("core: evaluating %s: %w", mix.Name, err)
 	}
-	if refLimit > 0 {
-		rd = trace.NewLimitReader(rd, refLimit)
-	}
-	return evaluateReader(ctx, design, mix.Name, rd)
+	return EvaluateRefsContext(ctx, design, mix.Name, refs)
 }
 
 // EvaluateRefsContext evaluates a design against an already-materialized
@@ -332,19 +329,16 @@ func RecommendSpec(mix workload.Mix, sizes []int, cm CostModel, refLimit int, fe
 	}
 	sizes = append([]int(nil), sizes...)
 	sort.Ints(sizes)
-	rd, err := mix.Open()
+	ctx := context.Background()
+	refs, err := mix.Collect(ctx, 1, refLimit)
 	if err != nil {
 		return nil, -1, err
-	}
-	var lim trace.Reader = rd
-	if refLimit > 0 {
-		lim = trace.NewLimitReader(rd, refLimit)
 	}
 	spec := SweepSpec{
 		Sizes: sizes, LineSize: 16, Quantum: mix.Quantum,
 		Fetch: fetch, Repl: repl,
 	}
-	out, err := RunSweep(context.Background(), spec, lim, nil, "recommend:"+mix.Name, 0)
+	out, err := RunSweep(ctx, spec, trace.NewSliceReader(refs), nil, "recommend:"+mix.Name, int64(len(refs)))
 	if err != nil {
 		return nil, -1, fmt.Errorf("core: evaluating %s: %w", mix.Name, err)
 	}

@@ -32,14 +32,16 @@ type Options struct {
 	// RefLimit caps the references taken from each trace; 0 uses each
 	// trace's paper run length. Tests use small limits.
 	RefLimit int
-	// Workers bounds simulation parallelism. Zero or negative selects
+	// Workers bounds simulation parallelism, and materialization's too:
+	// the members of a multi-program mix are generated on up to Workers
+	// goroutines (workload.Mix.Collect). Zero or negative selects
 	// GOMAXPROCS; values larger than the number of independent jobs in a
 	// given experiment are clamped down to the job count by each driver
 	// (see forEach), so over-provisioning never spawns idle goroutines.
-	// Workers=1 runs every job sequentially in index order on the calling
-	// goroutine. Results are bit-identical regardless of the worker count:
-	// each job writes only its own slot, so scheduling order never shows
-	// through in the output.
+	// Workers=1 runs every job, and generates every member, sequentially
+	// in index order on the calling goroutine. Results are bit-identical
+	// regardless of the worker count: each job writes only its own slot,
+	// so scheduling order never shows through in the output.
 	Workers int
 	// StreamSource, when non-nil, supplies a mix's materialized reference
 	// stream instead of synthesizing it from the mix's specs. Callers that
@@ -180,7 +182,10 @@ func (o Options) CollectMixContext(ctx context.Context, m workload.Mix) ([]trace
 }
 
 // collectMixCtx is collectMix with cancellation; synthesizing a long trace
-// is itself slow enough to need a context check.
+// is itself slow enough to need a context check. Members are generated
+// concurrently (workload.Mix.Collect) on up to Workers goroutines; inside
+// an experiment the extra goroutines come from the shared budget, so a
+// mix materialized while other grid jobs hold the pool fills serially.
 func (o Options) collectMixCtx(ctx context.Context, m workload.Mix) ([]trace.Ref, error) {
 	if o.StreamSource != nil {
 		return o.StreamSource(ctx, m)
@@ -194,13 +199,23 @@ func (o Options) collectMixCtx(ctx context.Context, m workload.Mix) ([]trace.Ref
 		}
 		m = limited
 	}
-	r, err := m.Open()
-	if err != nil {
-		return nil, err
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	// The (possibly limited) mix knows its exact interleaved length, so the
-	// stream materializes in one allocation instead of append-growth.
-	return trace.Collect(trace.NewContextReader(ctx, r), 0, m.TotalRefs())
+	if o.budget != nil {
+		extra := 0
+		for extra < min(workers, len(m.Specs))-1 && o.budget.TryAcquire() {
+			extra++
+		}
+		defer func() {
+			for ; extra > 0; extra-- {
+				o.budget.Release()
+			}
+		}()
+		workers = 1 + extra
+	}
+	return m.Collect(ctx, workers, 0)
 }
 
 // forEach runs fn(i) for i in [0, n) on the calling goroutine plus as

@@ -62,8 +62,10 @@ type Config struct {
 	// GOMAXPROCS. Queued work still honours its deadline while waiting.
 	MaxConcurrent int
 	// SimWorkers is the intra-sweep parallelism (experiments.Options.Workers)
-	// of each sweep request; default 1 so one sweep cannot monopolize the
-	// pool — concurrency across requests comes from MaxConcurrent.
+	// of each sweep request, and the goroutines that generate a mix's
+	// members on a stream-cache miss; default 1 so one request cannot
+	// monopolize the pool — concurrency across requests comes from
+	// MaxConcurrent.
 	SimWorkers int
 	// DefaultTimeout applies to requests that set no timeout_ms; 0 means
 	// no server-imposed deadline.

@@ -18,9 +18,11 @@ import (
 // the cached slice.
 //
 // Two limit semantics exist and must not share entries: /v1/evaluate caps
-// the total interleaved stream (trace.NewLimitReader), while /v1/sweep caps
-// each member trace (experiments.Options.RefLimit), preserving round-robin
-// structure at reduced scale.
+// the total interleaved stream (a prefix of the round-robin schedule),
+// while /v1/sweep caps each member trace (experiments.Options.RefLimit),
+// preserving round-robin structure at reduced scale. Both fill on up to
+// SimWorkers goroutines, so a request's work stays within its worker's
+// share.
 //
 // Cached slices are shared across concurrent simulations and are never
 // mutated after insertion.
@@ -56,19 +58,7 @@ func (s *Server) cachedStream(key string, gen func() ([]trace.Ref, error)) ([]tr
 // refLimit caps the total interleaved stream.
 func (s *Server) mixStreamTotal(ctx context.Context, mix workload.Mix, refLimit int) ([]trace.Ref, error) {
 	return s.cachedStream(streamKey("total", mix.Name, refLimit), func() ([]trace.Ref, error) {
-		rd, err := mix.Open()
-		if err != nil {
-			return nil, err
-		}
-		var lim trace.Reader = rd
-		hint := mix.TotalRefs()
-		if refLimit > 0 {
-			lim = trace.NewLimitReader(rd, refLimit)
-			if refLimit < hint {
-				hint = refLimit
-			}
-		}
-		return trace.Collect(trace.NewContextReader(ctx, lim), 0, hint)
+		return mix.Collect(ctx, s.cfg.SimWorkers, refLimit)
 	})
 }
 
@@ -76,6 +66,6 @@ func (s *Server) mixStreamTotal(ctx context.Context, mix workload.Mix, refLimit 
 // refLimit caps each member trace.
 func (s *Server) mixStreamPerMember(ctx context.Context, mix workload.Mix, refLimit int) ([]trace.Ref, error) {
 	return s.cachedStream(streamKey("member", mix.Name, refLimit), func() ([]trace.Ref, error) {
-		return experiments.Options{RefLimit: refLimit}.CollectMixContext(ctx, mix)
+		return experiments.Options{RefLimit: refLimit, Workers: s.cfg.SimWorkers}.CollectMixContext(ctx, mix)
 	})
 }

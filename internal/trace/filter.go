@@ -86,7 +86,7 @@ func OnlyData(r Reader) *FilterReader {
 }
 
 // MapReader rewrites each reference with fn, e.g. to relocate a trace to a
-// disjoint address region before multiprogramming interleaving.
+// disjoint address region.
 type MapReader struct {
 	r  Reader
 	fn func(Ref) Ref
@@ -104,9 +104,10 @@ func (m *MapReader) Read() (Ref, error) {
 	return m.fn(ref), nil
 }
 
-// Rebase returns a reader that ORs each address with base, used to give each
-// program in a multiprogramming mix a disjoint address-space prefix (the
-// paper purges on task switch, so spaces must not alias).
+// Rebase returns a reader that ORs each address with base, giving a trace a
+// disjoint address-space prefix the way workload.Mix.Collect gives each
+// program of a multiprogramming mix one (the paper purges on task switch,
+// so spaces must not alias).
 func Rebase(r Reader, base uint64) *MapReader {
 	return NewMapReader(r, func(ref Ref) Ref {
 		ref.Addr |= base

@@ -4,9 +4,8 @@
 // driven by (§1.1, "Trace Driven Simulation").
 //
 // The core abstraction is the Reader stream interface. Synthetic workload
-// generators, file decoders, filters and the multiprogramming interleaver
-// all implement or consume it, so simulations compose without materializing
-// whole traces in memory.
+// generators, file decoders and filters all implement or consume it, so
+// simulations compose without materializing whole traces in memory.
 package trace
 
 import (

@@ -216,6 +216,16 @@ func (g *Generator) Read() (trace.Ref, error) {
 	}
 }
 
+// fill writes the next len(dst) references into dst, ORing base into every
+// address (a multi-program mix's address-space prefix).
+func (g *Generator) fill(dst []trace.Ref, base uint64) {
+	for k := range dst {
+		ref, _ := g.Read() // never fails
+		ref.Addr |= base
+		dst[k] = ref
+	}
+}
+
 // ifetch advances the instruction stream: sequential within a run, then a
 // branch. A branch either iterates an active loop (jumping back to the loop
 // head), opens a new loop, or is a plain jump whose target depth follows the
